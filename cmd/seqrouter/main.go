@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -36,6 +35,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
+	"repro/internal/server"
 )
 
 func main() {
@@ -62,7 +62,7 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 0, "cap on every routed request's deadline (0 = none)")
 		verSkew  = flag.String("version-skew", cluster.VersionSkewAllow,
 			"what to do when shards answer one query from different snapshot versions mid rolling reload: 'allow' merges and reports the mix in snapshot_versions; 'fence' drops disagreeing shards (complete:false, shards_skewed) and turns require_complete into 503 versions_skewed")
-		streamWin  = flag.Int("stream-window", cluster.DefaultStreamWindow, "per-connection /search/stream fan-out window")
+		streamWin  = flag.Int("stream-window", server.DefaultStreamWindow, "per-connection /search/stream fan-out window")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
 		drainGrace = flag.Duration("drain-grace", 0,
 			"after SIGTERM, keep answering with 503/draining this long before closing the listener")
@@ -116,20 +116,7 @@ func main() {
 	router := cluster.NewRouter(coord)
 
 	if *debugAddr != "" {
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dmux.Handle("/metrics", coord.Registry().Handler())
-		dmux.Handle("/debug/traces", coord.Ring())
-		dbgSrv := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			if err := dbgSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fatal(fmt.Errorf("debug listener: %w", err))
-			}
-		}()
+		go func() { fatal(fmt.Errorf("debug listener: %w", coord.ServeDebug(*debugAddr))) }()
 		fmt.Printf("seqrouter: debug listener (pprof, /metrics, /debug/traces) on %s\n", *debugAddr)
 	}
 

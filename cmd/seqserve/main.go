@@ -29,7 +29,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -286,34 +285,10 @@ func main() {
 		return ns.Manifest, d, nil
 	}
 
-	// The debug listener is a separate address on purpose: pprof
-	// profiles and raw trace dumps are operator tools, and binding them
-	// to (say) localhost keeps them off the serving port without any
-	// auth machinery. /metrics and /debug/traces are mirrored here so a
-	// scraper needs only the debug port; they also remain on the main
-	// mux for single-port deployments.
+	// An operator who asked for the debug listener is debugging; a
+	// silently-missing pprof port would waste exactly that session.
 	if *debugAddr != "" {
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dmux.Handle("/metrics", srv.MetricsRegistry().Handler())
-		dmux.Handle("/debug/traces", srv.TraceRing())
-		dbgSrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           dmux,
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			if err := dbgSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				// An operator who asked for the debug listener is
-				// debugging; a silently-missing pprof port would waste
-				// exactly that session.
-				fatal(fmt.Errorf("debug listener: %w", err))
-			}
-		}()
+		go func() { fatal(fmt.Errorf("debug listener: %w", srv.ServeDebug(*debugAddr))) }()
 		fmt.Printf("seqserve: debug listener (pprof, /metrics, /debug/traces) on %s\n", *debugAddr)
 	}
 

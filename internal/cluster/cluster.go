@@ -7,6 +7,16 @@
 // align.MergeRanked, the RankHits contract's merge entry point: a
 // sharded answer is bit-identical to the single-node one.
 //
+// The package holds no HTTP serving code of its own. The Coordinator is
+// a server.Backend — the scatter-gather twin of the Server's local
+// pipeline — and the Router is internal/server's Frontend over it plus
+// the router-only /shardmap: request decoding, the NDJSON stream
+// engine, error rendering, health/ready/stats shells, drain and tracing
+// are the one implementation seqserve runs. What the backend supplies
+// is its envelope: Request (the server's request plus
+// require_complete) in, Response (the server's response plus complete /
+// shards_* accounting) out.
+//
 // The failure handling is the point, not the happy path. Each shard
 // query runs per-try timeouts with exponential backoff and full jitter
 // (honoring Retry-After), a hedged second try to another replica once

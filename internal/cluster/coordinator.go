@@ -68,7 +68,7 @@ type Config struct {
 	// the server's flag of the same name. 0 means none.
 	RequestTimeout time.Duration
 	// StreamWindow bounds how many of one /search/stream connection's
-	// lines may be in flight at once. 0 means DefaultStreamWindow.
+	// lines may be in flight at once. 0 means server.DefaultStreamWindow.
 	StreamWindow int
 	// VersionSkew selects the merge policy when shards answer with
 	// different snapshot_version stamps mid rolling reload:
@@ -104,7 +104,6 @@ const (
 	DefaultRecoverAfter  = 2
 	DefaultBreakerTrip   = 5
 	DefaultBreakerCool   = 1 * time.Second
-	DefaultStreamWindow  = 64
 
 	// maxShardResponseBytes caps one backend response read: top-K hit
 	// lists are small, so anything bigger is a broken backend, not data.
@@ -168,28 +167,6 @@ type Response struct {
 	SnapshotVersions []string `json:"snapshot_versions,omitempty"`
 }
 
-// apiError mirrors the server's sentinel-coded error shape so routed
-// failures look exactly like single-node ones to a client.
-type apiError struct {
-	status     int
-	code       string
-	detail     string
-	retryAfter int
-}
-
-var (
-	errDeadline   = &apiError{status: http.StatusRequestTimeout, code: server.ErrDeadline, detail: "request deadline exceeded before every shard answered"}
-	errClientGone = &apiError{status: http.StatusRequestTimeout, code: server.ErrClientGone, detail: "client disconnected before the search completed"}
-	errDraining   = &apiError{status: http.StatusServiceUnavailable, code: server.ErrDraining, detail: "router is draining for shutdown"}
-)
-
-func ctxError(ctx context.Context) *apiError {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return errDeadline
-	}
-	return errClientGone
-}
-
 // spanRec is one shard try's timing fact, recorded by the shard
 // goroutine and stamped into the request trace after the gather joins
 // (traces are single-goroutine by contract, so the coordinator never
@@ -232,6 +209,7 @@ type Coordinator struct {
 	client   *http.Client
 	logf     func(format string, args ...any)
 	m        routerMetrics
+	fe       *server.Frontend // the HTTP face NewRouter hands out; owns the registry and trace ring
 
 	probeWG   sync.WaitGroup
 	probeStop chan struct{}
@@ -326,9 +304,6 @@ func New(m *ShardMap, cfg Config) (*Coordinator, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = DefaultBreakerCool
 	}
-	if cfg.StreamWindow <= 0 {
-		cfg.StreamWindow = DefaultStreamWindow
-	}
 	if cfg.VersionSkew == "" {
 		cfg.VersionSkew = VersionSkewAllow
 	}
@@ -357,6 +332,13 @@ func New(m *ShardMap, cfg Config) (*Coordinator, error) {
 	// Metrics are not up yet, so newTopology leaves latH nil here;
 	// initMetrics wires the initial generation's histograms.
 	c.topo.Store(c.newTopology(m, nil))
+	// The router's stream takes the server's stall cutoff as a constant
+	// (the zero StreamStallTimeout) and arms no client.stall site.
+	c.fe = server.NewFrontend(c, "router", server.Config{
+		StreamWindow:   cfg.StreamWindow,
+		RequestTimeout: cfg.RequestTimeout,
+		TraceRing:      cfg.TraceRing,
+	})
 	c.initMetrics()
 
 	if cfg.ProbeInterval > 0 {
@@ -537,7 +519,7 @@ func (c *Coordinator) hedgeDelay(sh *shardState) time.Duration {
 // transport error, 5xx, 429/503 shed).
 type tryOutcome struct {
 	resp       *server.SearchResponse
-	fatal      *apiError
+	fatal      *server.APIError
 	err        error
 	retryAfter int // seconds; a shed backend's Retry-After floor
 }
@@ -599,9 +581,9 @@ func (c *Coordinator) try(ctx context.Context, b *backend, body []byte, reqID st
 		// sentinel verbatim and stop retrying.
 		var e server.ErrorResponse
 		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return tryOutcome{fatal: &apiError{status: resp.StatusCode, code: e.Error, detail: e.Detail}}
+			return tryOutcome{fatal: &server.APIError{Status: resp.StatusCode, Code: e.Error, Detail: e.Detail}}
 		}
-		return tryOutcome{fatal: &apiError{status: resp.StatusCode, code: server.ErrBadRequest, detail: string(bytes.TrimSpace(raw))}}
+		return tryOutcome{fatal: &server.APIError{Status: resp.StatusCode, Code: server.ErrBadRequest, Detail: string(bytes.TrimSpace(raw))}}
 	}
 }
 
@@ -610,7 +592,7 @@ type shardResult struct {
 	si    int
 	hits  []server.Hit // remapped to global indexes
 	meta  *server.SearchResponse
-	fatal *apiError
+	fatal *server.APIError
 	err   error // shard failed past its budget (partial-result path)
 	spans []spanRec
 }
@@ -769,25 +751,28 @@ func (c *Coordinator) hedgedTry(ctx context.Context, sh *shardState, si int, pri
 
 // Search fans one validated cluster request out over every shard and
 // merges the answers. On success the *Response carries the merged hits
-// plus the shard accounting; a non-nil *apiError is the request's
+// plus the shard accounting; a non-nil *server.APIError is the request's
 // sentinel failure (propagated 4xx, deadline, or shards_failed under
 // require_complete). spans collects every consumed shard try for the
 // caller's trace.
-func (c *Coordinator) Search(ctx context.Context, creq *Request) (*Response, []spanRec, *apiError) {
+func (c *Coordinator) Search(ctx context.Context, creq *Request) (*Response, []spanRec, *server.APIError) {
+	return c.search(ctx, creq, obs.NewID())
+}
+
+// search is Search under the caller's request ID: the front-end's trace
+// ID, so the X-Request-Id forwarded to backends (suffixed per shard)
+// matches the trace the router publishes.
+func (c *Coordinator) search(ctx context.Context, creq *Request, reqID string) (*Response, []spanRec, *server.APIError) {
 	// One topology load per request: the fan-out, the merge and the
 	// accounting all describe the same generation even if a map update
 	// lands mid-flight.
 	t := c.topo.Load()
-	reqID := obs.NewID()
-	if id, ok := ctx.Value(requestIDKey{}).(string); ok && id != "" {
-		reqID = id
-	}
 	// One clean marshal shared by every shard and try: forwarding the
 	// client's raw bytes would leak unknown fields (require_complete)
 	// into backends that reject them on the stream path.
 	body, err := json.Marshal(&creq.SearchRequest)
 	if err != nil {
-		return nil, nil, &apiError{status: http.StatusBadRequest, code: server.ErrBadRequest, detail: err.Error()}
+		return nil, nil, &server.APIError{Status: http.StatusBadRequest, Code: server.ErrBadRequest, Detail: err.Error()}
 	}
 
 	results := make([]shardResult, len(t.shards))
@@ -813,7 +798,7 @@ func (c *Coordinator) Search(ctx context.Context, creq *Request) (*Response, []s
 		}
 	}
 	if ctx.Err() != nil {
-		return nil, spans, ctxError(ctx)
+		return nil, spans, server.CtxError(ctx)
 	}
 
 	oks := make([]shardResult, 0, len(results))
@@ -828,11 +813,11 @@ func (c *Coordinator) Search(ctx context.Context, creq *Request) (*Response, []s
 		oks = append(oks, r)
 	}
 	if len(failed) > 0 && creq.RequireComplete {
-		return nil, spans, &apiError{
-			status:     http.StatusServiceUnavailable,
-			code:       ErrShardsFailed,
-			detail:     fmt.Sprintf("%d of %d shards failed (%v) and the request requires a complete answer", len(failed), len(t.shards), failed),
-			retryAfter: 1,
+		return nil, spans, &server.APIError{
+			Status:     http.StatusServiceUnavailable,
+			Code:       ErrShardsFailed,
+			Detail:     fmt.Sprintf("%d of %d shards failed (%v) and the request requires a complete answer", len(failed), len(t.shards), failed),
+			RetryAfter: 1,
 		}
 	}
 
@@ -860,11 +845,11 @@ func (c *Coordinator) Search(ctx context.Context, creq *Request) (*Response, []s
 		oks = kept
 		c.m.skewed.Add(1)
 		if creq.RequireComplete {
-			return nil, spans, &apiError{
-				status:     http.StatusServiceUnavailable,
-				code:       ErrVersionsSkewed,
-				detail:     fmt.Sprintf("shards %v answered snapshot versions other than the reference %q mid-reload and the request requires a complete answer", skewed, ref),
-				retryAfter: 1,
+			return nil, spans, &server.APIError{
+				Status:     http.StatusServiceUnavailable,
+				Code:       ErrVersionsSkewed,
+				Detail:     fmt.Sprintf("shards %v answered snapshot versions other than the reference %q mid-reload and the request requires a complete answer", skewed, ref),
+				RetryAfter: 1,
 			}
 		}
 		c.logf("cluster: version skew fenced: reference %q, shards %v answered other versions", ref, skewed)
@@ -919,15 +904,4 @@ func (c *Coordinator) Search(ctx context.Context, creq *Request) (*Response, []s
 		c.m.partials.Add(1)
 	}
 	return resp, spans, nil
-}
-
-// requestIDKey carries the router handler's trace ID to Search so the
-// X-Request-Id forwarded to backends matches the trace the router
-// publishes.
-type requestIDKey struct{}
-
-// WithRequestID returns ctx tagged with the trace ID Search should
-// forward to backends (suffixed per shard).
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
 }

@@ -140,7 +140,7 @@ func TestShardedBitIdentity(t *testing.T) {
 					want := singleNode(t, full, req)
 					got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: req})
 					if aerr != nil {
-						t.Fatalf("shards=%d delayed=%v q%d %s: %s (%s)", len(cuts)-1, delayed, qi, kernel, aerr.code, aerr.detail)
+						t.Fatalf("shards=%d delayed=%v q%d %s: %s (%s)", len(cuts)-1, delayed, qi, kernel, aerr.Code, aerr.Detail)
 					}
 					if !got.Complete || got.ShardsOK != len(cuts)-1 || len(got.ShardsFailed) != 0 {
 						t.Fatalf("shards=%d q%d %s: accounting %+v", len(cuts)-1, qi, kernel, got)
@@ -175,7 +175,7 @@ func TestPartialResults(t *testing.T) {
 	req := server.SearchRequest{Query: bio.GlutathioneQuery().String(), K: 5, Exhaustive: true}
 	got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: req})
 	if aerr != nil {
-		t.Fatalf("degraded search errored: %s (%s)", aerr.code, aerr.detail)
+		t.Fatalf("degraded search errored: %s (%s)", aerr.Code, aerr.Detail)
 	}
 	if got.Complete || got.ShardsOK != 1 || !reflect.DeepEqual(got.ShardsFailed, []int{1}) {
 		t.Fatalf("accounting = complete=%v ok=%d failed=%v", got.Complete, got.ShardsOK, got.ShardsFailed)
@@ -196,10 +196,10 @@ func TestPartialResults(t *testing.T) {
 
 	// require_complete refuses the degraded answer.
 	_, _, aerr = c.Search(context.Background(), &Request{SearchRequest: req, RequireComplete: true})
-	if aerr == nil || aerr.code != ErrShardsFailed || aerr.status != http.StatusServiceUnavailable {
+	if aerr == nil || aerr.Code != ErrShardsFailed || aerr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("require_complete: got %+v, want 503 %s", aerr, ErrShardsFailed)
 	}
-	if aerr.retryAfter <= 0 {
+	if aerr.RetryAfter <= 0 {
 		t.Fatal("shards_failed should carry Retry-After")
 	}
 }
@@ -214,7 +214,7 @@ func TestAllShardsFailed(t *testing.T) {
 	c := newCoord(t, m, cfg)
 	got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: server.SearchRequest{Query: "MTDKL", K: 3}})
 	if aerr != nil {
-		t.Fatalf("errored: %s", aerr.code)
+		t.Fatalf("errored: %s", aerr.Code)
 	}
 	if got.Complete || got.ShardsOK != 0 || len(got.Hits) != 0 {
 		t.Fatalf("got %+v", got)
@@ -245,7 +245,7 @@ func TestFatal4xxPropagates(t *testing.T) {
 	} {
 		before := c.m.tries.Value(m.Shards[0].Backends[0])
 		_, _, aerr := c.Search(context.Background(), &Request{SearchRequest: tc.req})
-		if aerr == nil || aerr.code != tc.code {
+		if aerr == nil || aerr.Code != tc.code {
 			t.Fatalf("req %+v: got %+v, want code %s", tc.req, aerr, tc.code)
 		}
 		if tries := c.m.tries.Value(m.Shards[0].Backends[0]) - before; tries != 1 {
@@ -278,7 +278,7 @@ func TestChaosFlakyShardsAbsorbed(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: req})
 		if aerr != nil {
-			t.Fatalf("round %d: chaos surfaced as an error: %s (%s)", i, aerr.code, aerr.detail)
+			t.Fatalf("round %d: chaos surfaced as an error: %s (%s)", i, aerr.Code, aerr.Detail)
 		}
 		if got.Complete {
 			complete++
@@ -377,7 +377,7 @@ func TestHedgedTryRescuesSlowReplica(t *testing.T) {
 	start := time.Now()
 	got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: server.SearchRequest{Query: "MTDKL", K: 1}})
 	if aerr != nil {
-		t.Fatalf("hedged search failed: %s", aerr.code)
+		t.Fatalf("hedged search failed: %s", aerr.Code)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("hedge did not rescue: took %v (slow replica is 2s)", elapsed)
@@ -498,7 +498,7 @@ func TestRouterEndpoints(t *testing.T) {
 		t.Fatal("no X-Request-Id on the routed response")
 	}
 
-	// Unknown fields are rejected like the backend does.
+	// Unknown fields are rejected, by the same decode rule as a backend's.
 	resp, err = http.Post(rt.URL+"/search", "application/json", strings.NewReader(`{"query":"MTDKL","nope":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -555,10 +555,13 @@ func TestRouterEndpoints(t *testing.T) {
 	}
 }
 
-// TestRouterStream drives the NDJSON fan-out path: valid lines answer
-// with the cluster envelope (matching their single-POST twins), bad
-// lines answer per-line errors, and the terminal line accounts for
-// everything.
+// TestRouterStream drives the NDJSON path through the router. The
+// protocol is the shared front-end's (tested in internal/server); what
+// is the router's own is the envelope — every result line is its
+// single-POST twin's routed Response behind the id — a backend's 4xx
+// coming back as that line's error, and the one thing the router's old
+// private pump could not do: an oversized line is a per-line
+// bad_request and the lines after it still answer.
 func TestRouterStream(t *testing.T) {
 	db := testDB(t, 80)
 	m := shardFleet(t, db, []int{0, 40, 80})
@@ -568,11 +571,12 @@ func TestRouterStream(t *testing.T) {
 
 	q := bio.GlutathioneQuery().String()
 	var in bytes.Buffer
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		fmt.Fprintf(&in, `{"id":"q%d","query":%q,"k":5,"exhaustive":true}`+"\n", i, q)
 	}
-	in.WriteString("{broken json\n")
+	fmt.Fprintf(&in, `{"id":"big","query":"%s"}`+"\n", strings.Repeat("A", 1<<20))
 	in.WriteString(`{"id":"badk","query":"MTDKL","kernel":"nope"}` + "\n")
+	fmt.Fprintf(&in, `{"id":"q4","query":%q,"k":5,"mode":"all_vs_all","require_complete":true}`+"\n", q)
 
 	resp, err := http.Post(rt.URL+"/search/stream", "application/x-ndjson", bytes.NewReader(in.Bytes()))
 	if err != nil {
@@ -602,7 +606,8 @@ func TestRouterStream(t *testing.T) {
 		Errors   int64  `json:"errors"`
 		Response
 	}
-	results, errLines := 0, 0
+	results := 0
+	errCodes := map[string]string{}
 	var terminal *anyLine
 	dec := json.NewDecoder(resp.Body)
 	for dec.More() {
@@ -614,25 +619,48 @@ func TestRouterStream(t *testing.T) {
 		case line.Terminal:
 			terminal = &line
 		case line.Error != "":
-			errLines++
-			if line.ID == "badk" && line.Error != server.ErrUnknownKernel {
-				t.Fatalf("badk line error = %s, want %s", line.Error, server.ErrUnknownKernel)
-			}
+			errCodes[line.ID] = line.Error
 		default:
 			results++
-			if !line.Complete || line.ShardsOK != 2 {
+			if !line.Complete || line.ShardsOK != 2 || line.ShardMapVersion != 1 {
 				t.Fatalf("result line %s lacks the cluster envelope: %+v", line.ID, line)
 			}
-			if !reflect.DeepEqual(line.Hits, want.Hits) {
+			if !reflect.DeepEqual(line.Hits, want.Hits) || !line.Exhaustive {
 				t.Fatalf("stream line %s diverges from its single-POST twin", line.ID)
 			}
 		}
 	}
-	if results != 5 || errLines != 2 {
-		t.Fatalf("stream saw %d results, %d errors; want 5, 2", results, errLines)
+	if results != 5 {
+		t.Fatalf("stream saw %d results, want 5 — q4 sits after the oversized line and must still answer", results)
+	}
+	// The oversized line never decoded, so its error carries no id.
+	if len(errCodes) != 2 || errCodes[""] != server.ErrBadRequest || errCodes["badk"] != server.ErrUnknownKernel {
+		t.Fatalf("error lines %v, want the oversized line's %s and badk's %s", errCodes, server.ErrBadRequest, server.ErrUnknownKernel)
 	}
 	if terminal == nil || terminal.Lines != 7 || terminal.Results != 5 || terminal.Errors != 2 || terminal.Error != "" {
 		t.Fatalf("terminal line = %+v", terminal)
+	}
+}
+
+// TestWireShapes is the routed envelope's golden (internal/server's
+// TestWireShapes holds the shared line kinds): one fixed Response, as a
+// POST body and as the stream line the router's backend builds from it,
+// compared byte for byte so field order and omitempty cannot drift.
+func TestWireShapes(t *testing.T) {
+	resp := Response{
+		SearchResponse: server.SearchResponse{QueryLen: 4, Kernel: "swar", K: 2, Cached: true, TookUs: 7,
+			Hits: []server.Hit{{Index: 41, ID: "SYN41", Len: 9, Score: 33}}, SnapshotVersion: "v2"},
+		ShardsOK: 1, ShardsFailed: []int{1}, ShardMapVersion: 3, SnapshotVersions: []string{"v2"},
+	}
+	const body = `"query_len":4,"kernel":"swar","k":2,"exhaustive":false,"cached":true,"hits":[{"index":41,"id":"SYN41","len":9,"score":33}],"took_us":7,"snapshot_version":"v2","complete":false,"shards_ok":1,"shards_failed":[1],"shard_map_version":3,"snapshot_versions":["v2"]}`
+	if got, _ := json.Marshal(&resp); string(got) != "{"+body {
+		t.Errorf("routed POST body drifted:\n got %s\nwant {%s", got, body)
+	}
+	q := routedQuery{stream: true}
+	q.line.ID = "q1"
+	line, _ := json.Marshal(q.wire(&resp))
+	if want := `{"id":"q1",` + body; string(line) != want {
+		t.Errorf("routed result line drifted:\n got %s\nwant %s", line, want)
 	}
 }
 
@@ -684,7 +712,7 @@ func TestDeadlinePropagates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, _, aerr := c.Search(ctx, &Request{SearchRequest: server.SearchRequest{Query: "MTDKL", K: 1}})
-	if aerr == nil || aerr.code != server.ErrDeadline || aerr.status != http.StatusRequestTimeout {
+	if aerr == nil || aerr.Code != server.ErrDeadline || aerr.Status != http.StatusRequestTimeout {
 		t.Fatalf("got %+v, want 408 %s", aerr, server.ErrDeadline)
 	}
 }

@@ -7,19 +7,14 @@ import (
 	"repro/internal/obs"
 )
 
-// routerMetrics is the coordinator's instrument set, all pre-registered
-// obs types: the hot path does atomic increments only. Per-backend
-// families are keyed by the shard map's address set (a static identity
-// set — exactly what GaugeVec demands); per-shard families by shard
-// index.
+// routerMetrics is the scatter-gather's instrument set (the request,
+// error, in-flight, latency and stream families are the front-end's),
+// all pre-registered obs types: the hot path does atomic increments
+// only. Per-backend families are keyed by the shard map's address set
+// (a static identity set — exactly what GaugeVec demands); per-shard
+// families by shard index.
 type routerMetrics struct {
-	reg  *obs.Registry
-	ring *obs.Ring
-
-	requests   *obs.Counter // routed /search requests
-	errored    *obs.Counter // requests answered with a sentinel error
 	partials   *obs.Counter // 200 responses with complete:false
-	inFlight   *obs.Gauge   // routed requests currently in flight
 	mapUpdates *obs.Counter // live shard map swaps (PUT /shardmap)
 	skewed     *obs.Counter // responses that fenced version-skewed shards
 
@@ -33,19 +28,12 @@ type routerMetrics struct {
 
 	shardFails *obs.CounterVec   // shards failed past their retry budget
 	shardLatH  *obs.HistogramVec // per-shard try latency (feeds the hedge delay)
-	totalH     *obs.Histogram    // routed request latency, fan-out to merged answer
-
-	streamsTotal  *obs.Counter // /search/stream connections accepted
-	streamLines   *obs.Counter // stream request lines decoded
-	streamResults *obs.Counter // stream result lines written
-	streamErrors  *obs.Counter // stream error lines written
 }
 
 func (c *Coordinator) initMetrics() {
 	m := &c.m
 	t := c.topo.Load()
-	m.reg = obs.NewRegistry()
-	m.ring = obs.NewRing(c.cfg.TraceRing)
+	reg := c.fe.Registry()
 
 	addrs := t.smap.BackendAddrs()
 	shardLabels := make([]string, len(t.shards))
@@ -53,10 +41,7 @@ func (c *Coordinator) initMetrics() {
 		shardLabels[i] = strconv.Itoa(i)
 	}
 
-	m.requests = obs.NewCounter()
-	m.errored = obs.NewCounter()
 	m.partials = obs.NewCounter()
-	m.inFlight = obs.NewGauge()
 	m.mapUpdates = obs.NewCounter()
 	m.skewed = obs.NewCounter()
 	m.tries = obs.NewCounterVec("backend", addrs...)
@@ -67,11 +52,6 @@ func (c *Coordinator) initMetrics() {
 	m.breaker = obs.NewGaugeVec("backend", addrs...)
 	m.shardFails = obs.NewCounterVec("shard", shardLabels...)
 	m.shardLatH = obs.NewHistogramVec("shard", shardLabels...)
-	m.totalH = obs.NewHistogram()
-	m.streamsTotal = obs.NewCounter()
-	m.streamLines = obs.NewCounter()
-	m.streamResults = obs.NewCounter()
-	m.streamErrors = obs.NewCounter()
 
 	// The shard latency histograms double as the hedge-delay source:
 	// each shardState holds its own family member.
@@ -83,27 +63,21 @@ func (c *Coordinator) initMetrics() {
 		m.up.With(b.addr).Set(-1)
 	}
 
-	m.reg.RegisterCounter("router_requests_total", "Routed /search requests.", m.requests)
-	m.reg.RegisterCounter("router_errors_total", "Routed requests answered with a sentinel error.", m.errored)
-	m.reg.RegisterCounter("router_partial_total", "200 responses that degraded to complete:false.", m.partials)
-	m.reg.RegisterGauge("router_inflight", "Routed requests currently in flight.", m.inFlight)
-	m.reg.RegisterCounter("router_map_updates_total", "Live shard map swaps accepted via PUT /shardmap.", m.mapUpdates)
-	m.reg.RegisterCounter("router_version_skew_total", "Responses that fenced shards answering a different snapshot_version.", m.skewed)
-	m.reg.RegisterInfoFunc("router_shard_map_info", "Serving shard map version, as a label.", "version",
+	reg.RegisterGaugeFunc("router_inflight", "Alias of router_in_flight: this gauge's name before seqserve and seqrouter shared one front-end.",
+		func() float64 { _, _, n := c.fe.Counts(); return float64(n) })
+	reg.RegisterCounter("router_partial_total", "200 responses that degraded to complete:false.", m.partials)
+	reg.RegisterCounter("router_map_updates_total", "Live shard map swaps accepted via PUT /shardmap.", m.mapUpdates)
+	reg.RegisterCounter("router_version_skew_total", "Responses that fenced shards answering a different snapshot_version.", m.skewed)
+	reg.RegisterInfoFunc("router_shard_map_info", "Serving shard map version, as a label.", "version",
 		func() string { return strconv.FormatInt(c.topo.Load().smap.Version, 10) })
-	m.reg.RegisterCounterVec("router_backend_tries_total", "HTTP tries launched, per backend.", m.tries)
-	m.reg.RegisterCounterVec("router_backend_retries_total", "Backoff retries charged to the backend whose failure caused them.", m.retries)
-	m.reg.RegisterCounterVec("router_backend_hedges_total", "Hedged second tries, per backend they landed on.", m.hedges)
-	m.reg.RegisterCounterVec("router_backend_failures_total", "Failed tries (transport error, 5xx, shed), per backend.", m.failures)
-	m.reg.RegisterGaugeVec("router_backend_up", "Prober verdict as of the last probe or try: 1 up, 0 down, -1 unknown.", m.up)
-	m.reg.RegisterGaugeVec("router_backend_breaker_state", "Circuit breaker as of the last transition: 0 closed, 1 half-open, 2 open.", m.breaker)
-	m.reg.RegisterCounterVec("router_shard_failures_total", "Shard queries that failed past their retry budget.", m.shardFails)
-	m.reg.RegisterHistogramVec("router_shard_try_latency_us", "Per-shard backend try latency in microseconds.", m.shardLatH)
-	m.reg.RegisterHistogram("router_request_latency_us", "Routed request latency, fan-out to merged answer, in microseconds.", m.totalH)
-	m.reg.RegisterCounter("router_streams_total", "Stream connections accepted.", m.streamsTotal)
-	m.reg.RegisterCounter("router_stream_lines_total", "Stream request lines decoded.", m.streamLines)
-	m.reg.RegisterCounter("router_stream_results_total", "Stream result lines written.", m.streamResults)
-	m.reg.RegisterCounter("router_stream_errors_total", "Stream error lines written.", m.streamErrors)
+	reg.RegisterCounterVec("router_backend_tries_total", "HTTP tries launched, per backend.", m.tries)
+	reg.RegisterCounterVec("router_backend_retries_total", "Backoff retries charged to the backend whose failure caused them.", m.retries)
+	reg.RegisterCounterVec("router_backend_hedges_total", "Hedged second tries, per backend they landed on.", m.hedges)
+	reg.RegisterCounterVec("router_backend_failures_total", "Failed tries (transport error, 5xx, shed), per backend.", m.failures)
+	reg.RegisterGaugeVec("router_backend_up", "Prober verdict as of the last probe or try: 1 up, 0 down, -1 unknown.", m.up)
+	reg.RegisterGaugeVec("router_backend_breaker_state", "Circuit breaker as of the last transition: 0 closed, 1 half-open, 2 open.", m.breaker)
+	reg.RegisterCounterVec("router_shard_failures_total", "Shard queries that failed past their retry budget.", m.shardFails)
+	reg.RegisterHistogramVec("router_shard_try_latency_us", "Per-shard backend try latency in microseconds.", m.shardLatH)
 }
 
 // refreshBackendGauges re-renders one backend's health and breaker
@@ -131,13 +105,9 @@ func (c *Coordinator) refreshBackendGauges(b *backend) {
 	}
 }
 
-// Registry exposes the coordinator's metric registry (the router's
-// /metrics handler).
-func (c *Coordinator) Registry() *obs.Registry { return c.m.reg }
-
-// Ring exposes the coordinator's trace ring (the router's
-// /debug/traces handler).
-func (c *Coordinator) Ring() *obs.Ring { return c.m.ring }
+// ServeDebug serves the router's -debug-addr listener
+// (server.Frontend.ServeDebug).
+func (c *Coordinator) ServeDebug(addr string) error { return c.fe.ServeDebug(addr) }
 
 // Status is the router's /statsz snapshot.
 type Status struct {
@@ -160,18 +130,19 @@ type Status struct {
 func (c *Coordinator) StatsSnapshot() Status {
 	now := time.Now()
 	t := c.topo.Load()
+	requests, errs, inFlight := c.fe.Counts()
 	st := Status{
 		ShardMapVersion: t.smap.Version,
 		NumSeqs:         t.smap.NumSeqs,
 		Shards:          len(t.shards),
 		Ready:           c.Ready(),
 		VersionSkew:     c.cfg.VersionSkew,
-		Requests:        c.m.requests.Value(),
-		Errors:          c.m.errored.Value(),
+		Requests:        requests,
+		Errors:          errs,
 		Partials:        c.m.partials.Value(),
 		Skewed:          c.m.skewed.Value(),
 		MapUpdates:      c.m.mapUpdates.Value(),
-		InFlight:        c.m.inFlight.Value(),
+		InFlight:        inFlight,
 	}
 	for _, b := range t.backends {
 		st.Backends = append(st.Backends, BackendStatus{

@@ -40,7 +40,7 @@ func TestVersionSkewAllow(t *testing.T) {
 
 	got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: server.SearchRequest{Query: "MTDKL", K: 5}})
 	if aerr != nil {
-		t.Fatalf("allow policy errored on skew: %s (%s)", aerr.code, aerr.detail)
+		t.Fatalf("allow policy errored on skew: %s (%s)", aerr.Code, aerr.Detail)
 	}
 	if !got.Complete || got.ShardsOK != 2 || len(got.ShardsSkewed) != 0 {
 		t.Fatalf("allow accounting: %+v", got)
@@ -56,7 +56,7 @@ func TestVersionSkewAllow(t *testing.T) {
 	// require_complete is satisfied — no shard failed, skew is allowed.
 	if _, _, aerr := c.Search(context.Background(), &Request{
 		SearchRequest: server.SearchRequest{Query: "MTDKL", K: 5}, RequireComplete: true}); aerr != nil {
-		t.Fatalf("require_complete under allow errored: %s", aerr.code)
+		t.Fatalf("require_complete under allow errored: %s", aerr.Code)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestVersionSkewFence(t *testing.T) {
 
 	got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: server.SearchRequest{Query: "MTDKL", K: 5}})
 	if aerr != nil {
-		t.Fatalf("fence policy errored: %s (%s)", aerr.code, aerr.detail)
+		t.Fatalf("fence policy errored: %s (%s)", aerr.Code, aerr.Detail)
 	}
 	if got.Complete || got.ShardsOK != 1 || !reflect.DeepEqual(got.ShardsSkewed, []int{1}) {
 		t.Fatalf("fence accounting: complete=%v ok=%d skewed=%v", got.Complete, got.ShardsOK, got.ShardsSkewed)
@@ -89,10 +89,10 @@ func TestVersionSkewFence(t *testing.T) {
 
 	_, _, aerr = c.Search(context.Background(), &Request{
 		SearchRequest: server.SearchRequest{Query: "MTDKL", K: 5}, RequireComplete: true})
-	if aerr == nil || aerr.code != ErrVersionsSkewed || aerr.status != http.StatusServiceUnavailable {
+	if aerr == nil || aerr.Code != ErrVersionsSkewed || aerr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("require_complete under fence: got %+v, want 503 %s", aerr, ErrVersionsSkewed)
 	}
-	if aerr.retryAfter <= 0 {
+	if aerr.RetryAfter <= 0 {
 		t.Fatal("versions_skewed should carry Retry-After (the reload will settle)")
 	}
 
@@ -271,7 +271,7 @@ func TestUpdateMapUnderLoad(t *testing.T) {
 				}
 				got, _, aerr := c.Search(context.Background(), &Request{SearchRequest: server.SearchRequest{Query: "MTDKL", K: 5}})
 				if aerr != nil {
-					done <- fmt.Errorf("search errored during map swap: %s (%s)", aerr.code, aerr.detail)
+					done <- fmt.Errorf("search errored during map swap: %s (%s)", aerr.Code, aerr.Detail)
 					return
 				}
 				want := 1

@@ -1,368 +1,118 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
 )
 
-// Router is the coordinator's HTTP face: the same endpoint surface as
-// a single seqserve backend (POST /search, POST /search/stream, GET
-// /healthz, /readyz, /statsz, /metrics, /debug/traces) plus GET
-// /shardmap, so clients and harnesses point at a router exactly like
-// they point at one server. The only wire difference is the response
-// envelope: every routed answer carries complete / shards_ok /
-// shards_failed / shard_map_version.
+// Router is the coordinator's HTTP face: the one serving front-end
+// (server.Frontend — the same POST /search shell, NDJSON stream engine,
+// health/ready/stats shells, drain flag and trace ring seqserve runs)
+// with the Coordinator's scatter-gather as its Backend, plus the
+// router-only /shardmap. Clients and harnesses point at a router
+// exactly like they point at one server; the only wire difference is
+// the envelope the backend supplies — a Request may carry
+// require_complete, and every routed answer is a Response with
+// complete / shards_ok / shards_failed / shard_map_version.
 type Router struct {
-	c        *Coordinator
-	mux      *http.ServeMux
-	draining atomic.Bool
+	*server.Frontend // BeginDrain, and every endpoint but /shardmap
+	c                *Coordinator
 }
 
-// maxRouterBodyBytes mirrors the backend's single-POST body cap; the
-// router enforces it too so an oversized request dies in one hop.
-const maxRouterBodyBytes = 1 << 20
+// NewRouter returns the handler set over a coordinator.
+func NewRouter(c *Coordinator) *Router { return &Router{Frontend: c.fe, c: c} }
 
-// NewRouter builds the handler set over a coordinator.
-func NewRouter(c *Coordinator) *Router {
-	rt := &Router{c: c, mux: http.NewServeMux()}
-	rt.mux.HandleFunc("/search", rt.handleSearch)
-	rt.mux.HandleFunc("/search/stream", rt.handleStream)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/statsz", rt.handleStatsz)
-	rt.mux.HandleFunc("/shardmap", rt.handleShardMap)
-	rt.mux.Handle("/metrics", c.m.reg.Handler())
-	rt.mux.Handle("/debug/traces", c.m.ring)
-	return rt
-}
-
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
-
-// BeginDrain flips the router into shutdown mode: new requests and
-// streams are refused with 503/draining (in-flight ones finish), and
-// /healthz + /readyz go unhealthy so load balancers stop sending work.
-func (rt *Router) BeginDrain() { rt.draining.Store(true) }
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// failRequest writes an apiError in the backend's ErrorResponse shape
-// and finishes the trace with the sentinel as its outcome.
-func (rt *Router) failRequest(w http.ResponseWriter, tr *obs.Trace, aerr *apiError) {
-	rt.c.m.errored.Add(1)
-	if aerr.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(aerr.retryAfter))
-	}
-	rt.writeJSON(w, aerr.status, server.ErrorResponse{Error: aerr.code, Detail: aerr.detail, RequestID: tr.ID})
-	rt.finishTrace(tr, aerr.code)
-}
-
-func (rt *Router) finishTrace(tr *obs.Trace, outcome string) {
-	tr.Finish(outcome)
-	rt.c.m.ring.Publish(tr)
-}
-
-// effTimeout resolves a request's effective deadline: the tighter of
-// its timeout_ms and the router's RequestTimeout (matching the
-// backend's own rule, so the router never outlives its backends'
-// patience by accident).
-func (rt *Router) effTimeout(ms int64) time.Duration {
-	var d time.Duration
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if lim := rt.c.cfg.RequestTimeout; lim > 0 && (d == 0 || d > lim) {
-		d = lim
-	}
-	return d
-}
-
-func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	tr := obs.StartTrace(r.Header.Get("X-Request-Id"))
-	tr.Path = "route_search"
-	w.Header().Set("X-Request-Id", tr.ID)
-	if rt.draining.Load() {
-		rt.failRequest(w, tr, errDraining)
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/shardmap" {
+		rt.c.handleShardMap(w, r)
 		return
 	}
-	if r.Method != http.MethodPost {
-		rt.failRequest(w, tr, &apiError{status: http.StatusMethodNotAllowed, code: server.ErrBadMethod,
-			detail: "use POST with a JSON body"})
-		return
-	}
-	var creq Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&creq); err != nil {
-		rt.failRequest(w, tr, &apiError{status: http.StatusBadRequest, code: server.ErrBadRequest,
-			detail: fmt.Sprintf("decoding request body: %v", err)})
-		return
-	}
+	rt.Frontend.ServeHTTP(w, r)
+}
 
-	rt.c.m.requests.Add(1)
-	rt.c.m.inFlight.Add(1)
-	defer rt.c.m.inFlight.Add(-1)
-
-	ctx := r.Context()
-	if d := rt.effTimeout(creq.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+// routedQuery is the Coordinator's server.Query: one request on its way
+// to the shard fleet. The router validates only the stream envelope —
+// everything else is the shards' call, and their 4xx comes back
+// verbatim.
+type routedQuery struct {
+	c      *Coordinator
+	stream bool
+	line   struct { // a stream line; a POST decodes into its Request alone
+		ID   string `json:"id,omitempty"`
+		Mode string `json:"mode,omitempty"`
+		Request
 	}
-	ctx = WithRequestID(ctx, tr.ID)
+}
 
-	resp, spans, aerr := rt.c.Search(ctx, &creq)
+// NewQuery, Health and Statsz make the Coordinator a server.Backend.
+func (c *Coordinator) NewQuery(stream bool) server.Query { return &routedQuery{c: c, stream: stream} }
+
+func (q *routedQuery) Target() any {
+	if q.stream {
+		return &q.line
+	}
+	return &q.line.Request
+}
+
+// Prepare normalizes mode "all_vs_all" to an exhaustive scan before
+// fan-out (the router has no coalescing batcher; the shards it fans to
+// do).
+func (q *routedQuery) Prepare(*obs.Trace) (string, int64, *server.APIError) {
+	allVsAll, aerr := server.CheckLine(q.line.ID, q.line.Mode)
+	q.line.Exhaustive = q.line.Exhaustive || allVsAll
+	return q.line.ID, q.line.TimeoutMs, aerr
+}
+
+func (q *routedQuery) Search(ctx context.Context, tr *obs.Trace) (any, *server.APIError) {
+	resp, spans, aerr := q.c.search(ctx, &q.line.Request, tr.ID)
 	for _, sp := range spans {
 		tr.SpanAt(sp.stage, sp.start, sp.dur)
 	}
 	if aerr != nil {
-		rt.failRequest(w, tr, aerr)
-		return
+		return nil, aerr
 	}
 	resp.TookUs = time.Since(tr.Start).Microseconds()
-	rt.c.m.totalH.Observe(time.Since(tr.Start))
 	tr.Kernel = resp.Kernel
 	tr.QueryLen = resp.QueryLen
 	tr.Exhausted = resp.Exhaustive
 	tr.CacheHit = resp.Cached
-	rt.writeJSON(w, http.StatusOK, resp)
-	outcome := obs.OutcomeOK
 	if !resp.Complete {
-		outcome = "partial"
+		tr.Outcome = "partial"
 	}
-	rt.finishTrace(tr, outcome)
+	return q.wire(resp), nil
 }
 
-// StreamRequest is one NDJSON line of the router's POST /search/stream
-// body: the backend's line shape plus require_complete. Mode
-// "all_vs_all" normalizes to an exhaustive scan before fan-out (the
-// router has no coalescing batcher; the backends it fans to do).
-type StreamRequest struct {
-	ID              string `json:"id,omitempty"`
-	Mode            string `json:"mode,omitempty"`
-	RequireComplete bool   `json:"require_complete,omitempty"`
-	server.SearchRequest
+// wire is the value the front-end encodes: the routed Response as a
+// POST body, the same fields behind the client's id as a stream line.
+func (q *routedQuery) wire(resp *Response) any {
+	if !q.stream {
+		return resp
+	}
+	return &struct {
+		ID string `json:"id,omitempty"`
+		*Response
+	}{q.line.ID, resp}
 }
 
-// StreamResult is one result line of the router's stream: the client
-// tag plus the full routed Response envelope.
-type StreamResult struct {
-	ID string `json:"id,omitempty"`
-	Response
+// Health is the router's load-balancer gate: ready only when the prober
+// has seen at least one backend of EVERY shard up. A router that cannot
+// answer completely is still healthy — /healthz says so — but not
+// ready.
+func (c *Coordinator) Health() (string, map[string]any) {
+	notReady := ""
+	if !c.Ready() {
+		notReady = "not every shard has an up backend"
+	}
+	return notReady, map[string]any{"shards": len(c.Map().Shards)}
 }
 
-type streamErrLine struct {
-	ID        string `json:"id,omitempty"`
-	Error     string `json:"error"`
-	Detail    string `json:"detail,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-type streamEndLine struct {
-	Terminal bool   `json:"terminal"`
-	Error    string `json:"error,omitempty"`
-	Detail   string `json:"detail,omitempty"`
-	Lines    int64  `json:"lines"`
-	Results  int64  `json:"results"`
-	Errors   int64  `json:"errors"`
-}
-
-// handleStream fans a bulk NDJSON connection out: each decoded line
-// becomes one scatter-gather Search, up to StreamWindow in flight at
-// once, results written back as they complete (out of order, matched
-// by id) and the stream closed by exactly one terminal line. Compared
-// to the backend's stream the router's is deliberately simpler — no
-// stall supervision (the backends' own stall cutoffs bound every
-// line's tries) and flush-per-line (a routed line already amortizes a
-// whole fan-out, so the syscall is noise).
-func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
-	tr := obs.StartTrace(r.Header.Get("X-Request-Id"))
-	tr.Path = "route_stream"
-	w.Header().Set("X-Request-Id", tr.ID)
-	if rt.draining.Load() {
-		rt.failRequest(w, tr, errDraining)
-		return
-	}
-	if r.Method != http.MethodPost {
-		rt.failRequest(w, tr, &apiError{status: http.StatusMethodNotAllowed, code: server.ErrBadMethod,
-			detail: "use POST with an NDJSON body"})
-		return
-	}
-	connID := tr.ID
-	rt.c.m.streamsTotal.Add(1)
-
-	ctl := http.NewResponseController(w)
-	_ = ctl.EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	_ = ctl.Flush()
-
-	var (
-		mu      sync.Mutex // owns the ResponseWriter
-		wg      sync.WaitGroup
-		lines   atomic.Int64
-		results atomic.Int64
-		errs    atomic.Int64
-	)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err := enc.Encode(v); err == nil {
-			_ = ctl.Flush()
-		}
-	}
-	emitErr := func(id, reqID string, aerr *apiError) {
-		errs.Add(1)
-		rt.c.m.streamErrors.Add(1)
-		writeLine(&streamErrLine{ID: id, Error: aerr.code, Detail: aerr.detail, RequestID: reqID})
-	}
-
-	slots := make(chan struct{}, rt.c.cfg.StreamWindow)
-	end := (*apiError)(nil)
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxRouterBodyBytes)
-pump:
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue // NDJSON keep-alive
-		}
-		if rt.draining.Load() {
-			end = errDraining
-			break
-		}
-		lineNo := lines.Add(1)
-		rt.c.m.streamLines.Add(1)
-		reqID := fmt.Sprintf("%s#%d", connID, lineNo)
-
-		var sreq StreamRequest
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if derr := dec.Decode(&sreq); derr != nil {
-			emitErr("", reqID, &apiError{status: 400, code: server.ErrBadRequest,
-				detail: fmt.Sprintf("decoding line %d: %v", lineNo, derr)})
-			continue
-		}
-		if len(sreq.ID) > server.MaxStreamIDLen {
-			emitErr("", reqID, &apiError{status: 400, code: server.ErrBadID,
-				detail: fmt.Sprintf("id is %d bytes, limit %d", len(sreq.ID), server.MaxStreamIDLen)})
-			continue
-		}
-		switch sreq.Mode {
-		case "":
-		case server.StreamModeAllVsAll:
-			sreq.Exhaustive = true
-		default:
-			emitErr(sreq.ID, reqID, &apiError{status: 400, code: server.ErrBadMode,
-				detail: fmt.Sprintf("unknown mode %q (valid: %q)", sreq.Mode, server.StreamModeAllVsAll)})
-			continue
-		}
-
-		select {
-		case slots <- struct{}{}:
-		case <-r.Context().Done():
-			end = errClientGone
-			break pump
-		}
-		wg.Add(1)
-		rt.c.m.requests.Add(1)
-		rt.c.m.inFlight.Add(1)
-		go func(sreq StreamRequest, reqID string) {
-			defer func() {
-				rt.c.m.inFlight.Add(-1)
-				wg.Done()
-				<-slots
-			}()
-			start := time.Now()
-			ctx := r.Context()
-			if d := rt.effTimeout(sreq.TimeoutMs); d > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, d)
-				defer cancel()
-			}
-			ctx = WithRequestID(ctx, reqID)
-			creq := Request{SearchRequest: sreq.SearchRequest, RequireComplete: sreq.RequireComplete}
-			resp, _, aerr := rt.c.Search(ctx, &creq)
-			if aerr != nil {
-				emitErr(sreq.ID, reqID, aerr)
-				return
-			}
-			resp.TookUs = time.Since(start).Microseconds()
-			rt.c.m.totalH.Observe(time.Since(start))
-			results.Add(1)
-			rt.c.m.streamResults.Add(1)
-			writeLine(&StreamResult{ID: sreq.ID, Response: *resp})
-		}(sreq, reqID)
-	}
-	if end == nil {
-		if serr := sc.Err(); serr != nil {
-			if serr == bufio.ErrTooLong {
-				end = &apiError{code: server.ErrBadRequest,
-					detail: fmt.Sprintf("request line exceeds %d bytes; stream cut off", maxRouterBodyBytes)}
-			} else {
-				end = errClientGone
-			}
-		}
-	}
-	wg.Wait() // settle every in-flight line before the terminal one
-
-	endLine := streamEndLine{Terminal: true, Lines: lines.Load(), Results: results.Load(), Errors: errs.Load()}
-	if end != nil {
-		endLine.Error = end.code
-		endLine.Detail = end.detail
-	}
-	writeLine(&endLine)
-	outcome := obs.OutcomeOK
-	if end != nil {
-		outcome = end.code
-	}
-	rt.finishTrace(tr, outcome)
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"shards": len(rt.c.Map().Shards),
-	})
-}
-
-// handleReadyz is the router's load-balancer gate: ready only when the
-// prober has seen at least one backend of EVERY shard up (and the
-// router is not draining). A router that cannot answer completely is
-// still healthy — /healthz says so — but not ready.
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case rt.draining.Load():
-		rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
-	case !rt.c.Ready():
-		rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "not every shard has an up backend"})
-	default:
-		rt.writeJSON(w, http.StatusOK, map[string]any{"ready": true})
-	}
-}
-
-func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, rt.c.StatsSnapshot())
-}
+func (c *Coordinator) Statsz() any { return c.StatsSnapshot() }
 
 // handleShardMap serves the live map (GET) and swaps it (PUT). A PUT
 // body is the same JSON shape GET serves — version, num_seqs, shards —
@@ -370,28 +120,29 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // database, strictly newer version); on success the installed map is
 // echoed back, and every in-flight fan-out finishes against the
 // topology it started with.
-func (rt *Router) handleShardMap(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleShardMap(w http.ResponseWriter, r *http.Request) {
+	fail := func(status int, code, detail string) {
+		server.WriteJSON(w, status, server.ErrorResponse{Error: code, Detail: detail})
+	}
 	switch r.Method {
 	case http.MethodGet:
 	case http.MethodPut:
 		var m ShardMap
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBodyBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&m); err != nil {
-			rt.writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: server.ErrBadRequest,
-				Detail: fmt.Sprintf("decoding shard map: %v", err)})
+			fail(http.StatusBadRequest, server.ErrBadRequest, fmt.Sprintf("decoding shard map: %v", err))
 			return
 		}
-		if err := rt.c.UpdateMap(&m); err != nil {
-			rt.writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: server.ErrBadRequest, Detail: err.Error()})
+		if err := c.UpdateMap(&m); err != nil {
+			fail(http.StatusBadRequest, server.ErrBadRequest, err.Error())
 			return
 		}
 	default:
-		rt.writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: server.ErrBadMethod,
-			Detail: "use GET to read the shard map or PUT with a JSON map to replace it"})
+		fail(http.StatusMethodNotAllowed, server.ErrBadMethod, "use GET to read the shard map or PUT with a JSON map to replace it")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(rt.c.Map().JSON())
+	_, _ = w.Write(c.Map().JSON())
 	_, _ = w.Write([]byte("\n"))
 }

@@ -1,17 +1,24 @@
-// Package server is the long-lived alignment search service: it loads
-// a database and (optionally) a seed index once at startup and serves
-// queries over HTTP as JSON. The pipeline behind POST /search is
+// Package server is the long-lived alignment search service, in two
+// halves. The HTTP front-end (Frontend: frontend.go, stream.go) is the
+// one serving contract of the repo — the mux, the POST /search shell,
+// the NDJSON /search/stream engine, the /healthz /readyz /statsz
+// shells, the drain flag, the error renderer, the trace ring and the
+// common instruments — and it drives a small Backend interface:
+// prepare and search one decoded request, report readiness, report
+// stats. The Server in this package is one Backend, the local pipeline
 //
-//	admission -> micro-batch -> shard -> rescore -> rank -> cache
+//	validate -> cache -> single-flight -> admission -> micro-batch -> shard -> rescore -> rank
 //
 // with a bounded worker pool owning all DP state (per-worker
-// align.Scratch and index.Searcher clones), an LRU result cache with
-// single-flight deduplication of identical in-flight queries, and
-// /healthz + /statsz endpoints for operation. Results are
-// deterministic: the same query and knobs return bit-identical hits
-// across restarts, worker counts, batch compositions, and cache
-// hit/miss — only the `cached` flag and timings vary. DESIGN.md's
-// "Search service" section walks through the architecture.
+// align.Scratch and index.Searcher clones) and an LRU result cache
+// with single-flight deduplication of identical in-flight queries;
+// cluster.Coordinator's scatter-gather over remote Servers is the
+// other, behind the very same Frontend. Results are deterministic: the
+// same query and knobs return bit-identical hits across restarts,
+// worker counts, batch compositions, and cache hit/miss — only the
+// `cached` flag and timings vary. DESIGN.md's "Search service" and
+// "Streaming bulk-query protocol" sections walk through the
+// architecture.
 package server
 
 import (
@@ -20,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/align"
 	"repro/internal/bio"
@@ -206,33 +212,38 @@ const (
 	ErrClientStall = "client_stall"
 )
 
-// apiError pairs a sentinel code with its detail and HTTP status.
-// retryAfter > 0 adds a Retry-After header — shed responses tell the
-// client when the queue is worth another try.
-type apiError struct {
-	status     int
-	code       string
-	detail     string
-	retryAfter int // seconds; 0 omits the header
+// APIError is the one sentinel-coded error of the serving contract: a
+// stable Code (one of the Err* constants, or a Backend's own) with its
+// human-readable Detail and the HTTP Status a single POST answers
+// with. The Frontend renders it as an ErrorResponse body, a stream
+// error line, or the terminal line's error; Backends return it.
+// RetryAfter > 0 adds a Retry-After header — shed responses tell the
+// client when the queue is worth another try. Deliberately not an
+// `error`: it travels as *APIError so a nil one stays nil.
+type APIError struct {
+	Status     int
+	Code       string
+	Detail     string
+	RetryAfter int // seconds; 0 omits the header
 }
 
-func badRequest(code, format string, args ...any) *apiError {
-	return &apiError{status: 400, code: code, detail: fmt.Sprintf(format, args...)}
+func badRequest(code, format string, args ...any) *APIError {
+	return &APIError{Status: http.StatusBadRequest, Code: code, Detail: fmt.Sprintf(format, args...)}
 }
 
-// The resilience errors, shared by the handler and the pipeline.
+// The resilience errors, shared by the front-end and the pipeline.
 var (
-	errDeadline   = &apiError{status: http.StatusRequestTimeout, code: ErrDeadline, detail: "request deadline exceeded before the search completed"}
-	errClientGone = &apiError{status: http.StatusRequestTimeout, code: ErrClientGone, detail: "client disconnected before the search completed"}
-	errOverloaded = &apiError{status: http.StatusTooManyRequests, code: ErrOverloaded, detail: "admission queue is full; retry after backoff", retryAfter: 1}
-	errDraining   = &apiError{status: http.StatusServiceUnavailable, code: ErrDraining, detail: "server is draining for shutdown"}
-	errInternal   = &apiError{status: http.StatusInternalServerError, code: ErrInternal, detail: "scoring failed for this request; the failure was isolated and the server is healthy"}
+	errDeadline   = &APIError{Status: http.StatusRequestTimeout, Code: ErrDeadline, Detail: "request deadline exceeded before the search completed"}
+	errClientGone = &APIError{Status: http.StatusRequestTimeout, Code: ErrClientGone, Detail: "client disconnected before the search completed"}
+	errOverloaded = &APIError{Status: http.StatusTooManyRequests, Code: ErrOverloaded, Detail: "admission queue is full; retry after backoff", RetryAfter: 1}
+	errDraining   = &APIError{Status: http.StatusServiceUnavailable, Code: ErrDraining, Detail: "server is draining for shutdown"}
+	errInternal   = &APIError{Status: http.StatusInternalServerError, Code: ErrInternal, Detail: "scoring failed for this request; the failure was isolated and the server is healthy"}
 )
 
-// ctxError maps a dead request context to its sentinel: a deadline
+// CtxError maps a dead request context to its sentinel: a deadline
 // that fired is deadline_exceeded, anything else means the client went
 // away.
-func ctxError(ctx context.Context) *apiError {
+func CtxError(ctx context.Context) *APIError {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		return errDeadline
 	}
@@ -261,9 +272,9 @@ const (
 
 // normalized is a validated SearchRequest with every default applied,
 // the form the cache key and the job are built from — two requests
-// that normalize identically share a cache entry. timeout rides along
-// for the handler but stays out of the cache key: a deadline changes
-// whether an answer arrives, never what it is.
+// that normalize identically share a cache entry. timeout_ms is not in
+// it: a deadline changes whether an answer arrives, never what it is
+// (the front-end arms it).
 type normalized struct {
 	residues   []uint8
 	kernel     align.Kernel
@@ -271,11 +282,10 @@ type normalized struct {
 	maxCand    int
 	exhaustive bool
 	minScore   int
-	timeout    time.Duration // 0: no deadline
 	// coalesce marks an all_vs_all stream job: the dispatcher may
 	// batch it past MaxBatch so the whole stream window shares one
 	// scan's group units. Scheduling only — results are unchanged, so
-	// it stays out of the cache key (like timeout).
+	// it stays out of the cache key.
 	coalesce bool
 }
 
@@ -285,7 +295,7 @@ type normalized struct {
 // clamps were computed from is the database the job scans. Every
 // failure maps to a 400 with a sentinel code; a nil error means the
 // request is serviceable as returned.
-func (s *Server) validate(ep *epoch, req *SearchRequest) (normalized, *apiError) {
+func (s *Server) validate(ep *epoch, req *SearchRequest) (normalized, *APIError) {
 	var n normalized
 	if len(req.Query) == 0 {
 		return n, badRequest(ErrEmptyQuery, "query is empty")
@@ -354,37 +364,40 @@ func (s *Server) validate(ep *epoch, req *SearchRequest) (normalized, *apiError)
 	if req.TimeoutMs < 0 {
 		return n, badRequest(ErrBadTimeout, "timeout_ms %d is negative", req.TimeoutMs)
 	}
-	// The effective deadline is the tighter of the request's and the
-	// server's; either alone applies when the other is unset.
-	n.timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	if lim := s.cfg.RequestTimeout; lim > 0 && (n.timeout == 0 || n.timeout > lim) {
-		n.timeout = lim
-	}
 	return n, nil
 }
 
-// validateStream is validate for one decoded stream line: the same
-// checks and defaults, plus the stream-only knobs (ID length, Mode).
+// CheckLine validates a stream line's envelope — the client tag and the
+// bulk mode — the same way for every Backend, and reports whether the
+// line asked for all_vs_all (which every Backend serves as an
+// exhaustive scan).
+func CheckLine(id, mode string) (allVsAll bool, err *APIError) {
+	if len(id) > MaxStreamIDLen {
+		return false, badRequest(ErrBadID, "id is %d bytes, limit %d", len(id), MaxStreamIDLen)
+	}
+	switch mode {
+	case "":
+		return false, nil
+	case StreamModeAllVsAll:
+		return true, nil
+	}
+	return false, badRequest(ErrBadMode, "unknown mode %q (valid: %q)", mode, StreamModeAllVsAll)
+}
+
+// validateStream is validate for one decoded stream line (a POST is the
+// line with no envelope): the same checks and defaults, plus CheckLine.
 // all_vs_all is normalized as "exhaustive, coalescible" BEFORE the
 // shared validation so it lands on the same cache key as an explicit
 // exhaustive POST of the same query — the results are identical.
-func (s *Server) validateStream(ep *epoch, req *StreamRequest) (normalized, *apiError) {
-	if len(req.ID) > MaxStreamIDLen {
-		return normalized{}, badRequest(ErrBadID, "id is %d bytes, limit %d", len(req.ID), MaxStreamIDLen)
-	}
-	switch req.Mode {
-	case "":
-	case StreamModeAllVsAll:
-		req.Exhaustive = true
-	default:
-		return normalized{}, badRequest(ErrBadMode, "unknown mode %q (valid: %q)", req.Mode, StreamModeAllVsAll)
-	}
-	n, aerr := s.validate(ep, &req.SearchRequest)
+func (s *Server) validateStream(ep *epoch, req *StreamRequest) (normalized, *APIError) {
+	allVsAll, aerr := CheckLine(req.ID, req.Mode)
 	if aerr != nil {
-		return n, aerr
+		return normalized{}, aerr
 	}
-	n.coalesce = req.Mode == StreamModeAllVsAll
-	return n, nil
+	req.Exhaustive = req.Exhaustive || allVsAll
+	n, aerr := s.validate(ep, &req.SearchRequest)
+	n.coalesce = allVsAll
+	return n, aerr
 }
 
 // wireHits converts ranked align.Hits to their wire form.

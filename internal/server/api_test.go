@@ -54,6 +54,9 @@ func TestSearchErrorPaths(t *testing.T) {
 		{"malformed json", `{"query":`, ErrBadRequest},
 		{"wrong field type", `{"query": 12}`, ErrBadRequest},
 		{"empty body", ``, ErrBadRequest},
+		{"unknown field", `{"query":"` + valid + `","exhuastive":true}`, ErrBadRequest},
+		{"trailing data", `{"query":"` + valid + `"} {"k":3}`, ErrBadRequest},
+		{"stream-only field", `{"query":"` + valid + `","mode":"all_vs_all"}`, ErrBadRequest},
 		{"empty query", `{"query":""}`, ErrEmptyQuery},
 		{"missing query", `{"k":5}`, ErrEmptyQuery},
 		{"bad residue digit", `{"query":"MKV1LL"}`, ErrBadResidue},
@@ -124,7 +127,7 @@ func TestNormalizationSharesCacheKeys(t *testing.T) {
 		ep := s.cur.Load()
 		norm, aerr := s.validate(ep, &req)
 		if aerr != nil {
-			t.Fatalf("validate: %v", aerr.detail)
+			t.Fatalf("validate: %v", aerr.Detail)
 		}
 		return norm.cacheKey(ep)
 	}

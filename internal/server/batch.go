@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +62,7 @@ type job struct {
 	cand     []int // indexed path: candidate database indexes
 	scores   []int // per item (database index, or cand position)
 	hits     []align.Hit
-	err      *apiError   // set by the pipeline: draining, deadline, panic
+	err      *APIError   // set by the pipeline: draining, deadline, panic
 	failed   atomic.Bool // a scoring panic hit this job; stop scoring it
 	seedErr  bool        // candidate generation failed; rescore exhaustively
 	coalesce bool        // all_vs_all: batchable past MaxBatch (see dispatch)
@@ -500,7 +499,7 @@ func (s *Server) runBatch(batch []*job) {
 	// Drain policy: the batch already scoring when drain flipped
 	// finishes normally; queued-but-unstarted jobs — this batch, if
 	// the flip beat it here — fail fast with 503/draining.
-	if s.draining.Load() {
+	if s.Draining() {
 		for _, j := range batch {
 			j.err = errDraining
 			s.completeJob(j)
@@ -519,9 +518,9 @@ func (s *Server) runBatch(batch []*job) {
 	// or timed-out client's job burns no kernel cells.
 	live := 0
 	for _, j := range batch {
-		if err := j.ctxErr(); err != nil {
+		if j.ctxErr() != nil {
 			s.metrics.abandoned.Add(1)
-			j.err = jobCtxError(err)
+			j.err = CtxError(j.ctx)
 			s.completeJob(j)
 			continue
 		}
@@ -655,7 +654,7 @@ func (s *Server) scoreGroup(ep *epoch, batch []*job, start time.Time) {
 			// Cancelled mid-scan: the scores may be partial, and a
 			// rank over partial scores would be silently wrong.
 			s.metrics.abandoned.Add(1)
-			j.err = jobCtxError(j.ctxErr())
+			j.err = CtxError(j.ctx)
 		case j.norm.exhaustive:
 			j.hits = align.RankHits(ep.db.Seqs, nil, j.scores, j.norm.minScore, j.norm.topK)
 		default:
@@ -668,21 +667,11 @@ func (s *Server) scoreGroup(ep *epoch, batch []*job, start time.Time) {
 }
 
 // failBatch completes every job in a poisoned batch with err.
-func (s *Server) failBatch(batch []*job, err *apiError) {
+func (s *Server) failBatch(batch []*job, err *APIError) {
 	for _, j := range batch {
 		j.err = err
 		s.completeJob(j)
 	}
-}
-
-// jobCtxError maps a job context's error to the sentinel its handler
-// would report (the handler usually already has — this value matters
-// only when the pipeline wins the completion CAS).
-func jobCtxError(err error) *apiError {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return errDeadline
-	}
-	return errClientGone
 }
 
 // completeJob resolves the ownership CAS: deliver the job to its

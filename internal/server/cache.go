@@ -61,7 +61,7 @@ func (n *normalized) cacheKey(ep *epoch) cacheKey {
 type flight struct {
 	done chan struct{}
 	hits []Hit
-	err  *apiError // non-nil: the flight aborted; hits is meaningless
+	err  *APIError // non-nil: the flight aborted; hits is meaningless
 }
 
 // resultCache is the LRU result cache with single-flight admission.
@@ -137,7 +137,7 @@ func (c *resultCache) finish(key cacheKey, f *flight, hits []Hit) {
 // flight leaves the map, followers wake with err, and the cache stays
 // untouched — a failed computation must never be served to anyone who
 // didn't fail with it.
-func (c *resultCache) abort(key cacheKey, f *flight, err *apiError) {
+func (c *resultCache) abort(key cacheKey, f *flight, err *APIError) {
 	c.mu.Lock()
 	f.err = err
 	delete(c.flights, key)

@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,11 +90,12 @@ const (
 	DefaultStreamStall  = 30 * time.Second
 )
 
-// Server is the long-lived search service. Construct with New, mount
-// Handler on an http.Server, and shut down in order: BeginDrain, then
-// http.Server.Shutdown, then Close after the HTTP side has drained
-// (Close stops the dispatcher and workers, so no request may still be
-// in flight).
+// Server is the long-lived search service: the local pipeline, which
+// is a Backend, plus the Frontend it serves through. Construct with
+// New, mount Handler on an http.Server, and shut down in order:
+// BeginDrain, then http.Server.Shutdown, then Close after the HTTP side
+// has drained (Close stops the dispatcher and workers, so no request
+// may still be in flight).
 type Server struct {
 	cfg    Config
 	kernel align.Kernel // resolved Config.DefaultKernel
@@ -108,13 +106,11 @@ type Server struct {
 	// atomically; epoch.go owns the pin/release protocol.
 	cur atomic.Pointer[epoch]
 
-	cache     *resultCache
-	metrics   metrics
-	accessLog *slog.Logger
-	mux       *http.ServeMux
+	cache   *resultCache
+	metrics metrics
+	fe      *Frontend // the HTTP face; owns the drain flag, registry and trace ring
 
-	admit    admission   // weighted admission gate in front of queue
-	draining atomic.Bool // BeginDrain flipped; new work is refused
+	admit admission // weighted admission gate in front of queue
 
 	queue      chan *job
 	phaseCh    chan *batchPhase
@@ -160,15 +156,6 @@ func New(db *bio.Database, ix *index.Index, cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.StreamWindow <= 0 {
-		cfg.StreamWindow = DefaultStreamWindow
-	}
-	switch {
-	case cfg.StreamStallTimeout == 0:
-		cfg.StreamStallTimeout = DefaultStreamStall
-	case cfg.StreamStallTimeout < 0:
-		cfg.StreamStallTimeout = 0 // handleStream treats 0 as no cutoff
-	}
 
 	s := &Server{
 		cfg:     cfg,
@@ -183,7 +170,6 @@ func New(db *bio.Database, ix *index.Index, cfg Config) (*Server, error) {
 	}
 	s.admit.capacity = int64(cfg.QueueDepth)
 	s.admit.notify = make(chan struct{}, 1)
-	s.accessLog = cfg.AccessLog
 
 	// The first epoch is unversioned (no snapshot label) and lenient:
 	// an invalid index degrades the epoch instead of failing startup.
@@ -192,16 +178,8 @@ func New(db *bio.Database, ix *index.Index, cfg Config) (*Server, error) {
 		return nil, err // unreachable with strict=false; kept for shape
 	}
 	s.cur.Store(ep)
-	s.initMetrics(cfg.TraceRing)
-
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/search", s.handleSearch)
-	s.mux.HandleFunc("/search/stream", s.handleStream)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/statsz", s.handleStatsz)
-	s.mux.Handle("/metrics", s.metrics.reg.Handler())
-	s.mux.Handle("/debug/traces", s.metrics.ring)
+	s.fe = NewFrontend(s, "seqserve", cfg)
+	s.initMetrics()
 
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{id: i, scr: align.NewScratch()}
@@ -213,9 +191,9 @@ func New(db *bio.Database, ix *index.Index, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the service's HTTP handler (POST /search,
-// POST /search/stream, GET /healthz, GET /statsz).
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the service's HTTP handler: the Frontend over this
+// server's pipeline.
+func (s *Server) Handler() http.Handler { return s.fe }
 
 // BeginDrain flips the server to draining: new /search requests are
 // refused with 503/draining (and /healthz reports draining), queued
@@ -223,10 +201,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // completes normally. Call it before http.Server.Shutdown so load
 // balancers and clients get a fast explicit signal instead of
 // connection resets. Idempotent.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (s *Server) BeginDrain() { s.fe.BeginDrain() }
 
 // Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.fe.Draining() }
 
 // Degraded reports whether the serving epoch has stopped trusting its
 // index and normalizes every request to the exhaustive scan. Unlike
@@ -256,95 +234,69 @@ func (s *Server) Close() {
 	})
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	// Every request gets a trace: the client's X-Request-Id or a
-	// generated one, echoed back in the response header so the caller
-	// can find its request in /debug/traces and the server's logs.
-	tr := obs.StartTrace(r.Header.Get("X-Request-Id"))
-	tr.Path = "search"
-	w.Header().Set("X-Request-Id", tr.ID)
-	if s.draining.Load() {
-		s.failRequest(w, tr, errDraining)
-		return
+// localQuery is the Server's Query: one request on its way through the
+// local pipeline.
+type localQuery struct {
+	s      *Server
+	stream bool          // a stream line: blocking admission, id on the answer
+	line   StreamRequest // a POST decodes into line.SearchRequest alone
+	ep     *epoch        // pinned by Prepare, dropped by Search
+	norm   normalized
+}
+
+// NewQuery, Health and Statsz make the Server a Backend.
+func (s *Server) NewQuery(stream bool) Query { return &localQuery{s: s, stream: stream} }
+
+func (q *localQuery) Target() any {
+	if q.stream {
+		return &q.line
 	}
-	if r.Method != http.MethodPost {
-		s.failRequest(w, tr, &apiError{status: http.StatusMethodNotAllowed, code: ErrBadMethod,
-			detail: "use POST with a JSON body"})
-		return
-	}
-	var req SearchRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		s.failRequest(w, tr, badRequest(ErrBadRequest, "reading body: %v", err))
-		return
-	}
-	if len(body) > maxBodyBytes {
-		s.failRequest(w, tr, badRequest(ErrBadRequest, "body exceeds %d bytes", maxBodyBytes))
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.failRequest(w, tr, badRequest(ErrBadRequest, "decoding JSON: %v", err))
-		return
-	}
-	// Pin the serving epoch for the request's whole lifetime: the data
-	// validated against is the data scored against, even if a reload
-	// lands mid-request.
-	ep := s.currentEpoch()
-	defer ep.unref()
-	norm, aerr := s.validate(ep, &req)
+	return &q.line.SearchRequest
+}
+
+// Prepare pins the serving epoch for the request's whole lifetime —
+// the data validated against is the data scored against, even if a
+// reload lands mid-request (a hot reload mid-stream means earlier lines
+// answer from the old data and later lines from the new, each stamped
+// with the version that served it) — and validates against it.
+func (q *localQuery) Prepare(tr *obs.Trace) (string, int64, *APIError) {
+	ep := q.s.currentEpoch()
+	tr.Degraded = ep.degraded.Load()
+	norm, aerr := q.s.validateStream(ep, &q.line)
 	if aerr != nil {
-		s.failRequest(w, tr, aerr)
-		return
+		ep.unref()
+		return q.line.ID, 0, aerr
 	}
+	q.ep, q.norm = ep, norm
 	tr.Kernel = norm.kernel.String()
 	tr.QueryLen = len(norm.residues)
 	tr.Exhausted = norm.exhaustive
+	q.s.metrics.kernelRequests.With(tr.Kernel).Add(1)
+	return q.line.ID, q.line.TimeoutMs, nil
+}
 
+func (q *localQuery) Search(ctx context.Context, tr *obs.Trace) (any, *APIError) {
+	defer q.ep.unref()
 	start := time.Now()
-	s.metrics.requests.Add(1)
-	s.metrics.kernelRequests.With(tr.Kernel).Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
-	// The request context carries client disconnects; the deadline —
-	// request timeout_ms clamped by -request-timeout — stacks on top.
-	// WithTimeout allocates, so the common no-deadline path skips it.
-	ctx := r.Context()
-	if norm.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, norm.timeout)
-		defer cancel()
-	}
-	// client.stall fault site: the client "reads and writes slowly"
-	// from here on — the deadline is armed, so a stalled request is
-	// cut off like any other slow one.
-	if d := s.cfg.Faults.Delay(faults.ClientStall); d > 0 {
-		faults.Sleep(ctx, d)
-	}
-
-	hits, cached, aerr := s.search(ctx, ep, norm, start, false, tr)
+	hits, cached, aerr := q.s.search(ctx, q.ep, q.norm, q.stream, tr)
 	if aerr != nil {
-		if aerr.code == ErrDeadline {
-			s.metrics.timeouts.Add(1)
-		}
-		s.failRequest(w, tr, aerr)
-		return
+		return nil, aerr
 	}
 	tr.CacheHit = cached
 	resp := SearchResponse{
-		QueryLen:        len(norm.residues),
-		Kernel:          norm.kernel.String(),
-		K:               norm.topK,
-		Exhaustive:      norm.exhaustive,
+		QueryLen:        len(q.norm.residues),
+		Kernel:          q.norm.kernel.String(),
+		K:               q.norm.topK,
+		Exhaustive:      q.norm.exhaustive,
 		Cached:          cached,
 		Hits:            hits,
 		TookUs:          time.Since(start).Microseconds(),
-		SnapshotVersion: ep.version,
+		SnapshotVersion: q.ep.version,
 	}
-	respondStart := time.Now()
-	s.writeJSON(w, http.StatusOK, &resp)
-	tr.SpanSince(obs.StageRespond, respondStart)
-	s.finishTrace(tr, obs.OutcomeOK)
+	if q.stream {
+		return &StreamResult{ID: q.line.ID, SearchResponse: resp}, nil
+	}
+	return &resp, nil
 }
 
 // search serves one validated request through the cache, the
@@ -365,27 +317,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // (a full gate sheds with 429/overloaded), true is the streaming one
 // (a full gate blocks the caller — pausing that stream's read loop —
 // until capacity frees or ctx dies).
-func (s *Server) search(ctx context.Context, ep *epoch, norm normalized, start time.Time, wait bool, tr *obs.Trace) ([]Hit, bool, *apiError) {
+func (s *Server) search(ctx context.Context, ep *epoch, norm normalized, wait bool, tr *obs.Trace) ([]Hit, bool, *APIError) {
 	key := norm.cacheKey(ep)
 	for {
 		lookupStart := time.Now()
 		cachedHits, f, leader := s.cache.begin(key)
 		if f == nil { // LRU hit
 			tr.SpanSince(obs.StageCache, lookupStart)
-			s.metrics.totalH.Observe(time.Since(start))
 			return cachedHits, true, nil
 		}
 		if leader {
-			return s.lead(ctx, ep, key, f, norm, start, wait, tr)
+			return s.lead(ctx, ep, key, f, norm, wait, tr)
 		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return nil, false, ctxError(ctx)
+			return nil, false, CtxError(ctx)
 		}
 		if f.err == nil {
 			tr.SpanSince(obs.StageWait, lookupStart)
-			s.metrics.totalH.Observe(time.Since(start))
 			return f.hits, true, nil
 		}
 		if f.err != errDeadline && f.err != errClientGone {
@@ -398,8 +348,8 @@ func (s *Server) search(ctx context.Context, ep *epoch, norm normalized, start t
 // resolves the flight exactly once — finish on success, abort on any
 // failure — so followers never wait forever, and every exit settles
 // the job ownership CAS so the job is recycled by exactly one side.
-func (s *Server) lead(ctx context.Context, ep *epoch, key cacheKey, f *flight, norm normalized, start time.Time, wait bool, tr *obs.Trace) ([]Hit, bool, *apiError) {
-	if s.draining.Load() { // re-check: drain may have flipped since the handler's gate
+func (s *Server) lead(ctx context.Context, ep *epoch, key cacheKey, f *flight, norm normalized, wait bool, tr *obs.Trace) ([]Hit, bool, *APIError) {
+	if s.Draining() { // re-check: drain may have flipped since the front-end's gate
 		s.cache.abort(key, f, errDraining)
 		return nil, false, errDraining
 	}
@@ -412,7 +362,7 @@ func (s *Server) lead(ctx context.Context, ep *epoch, key cacheKey, f *flight, n
 		if err := s.admit.acquire(ctx, j.cost); err != nil {
 			j.cost = 0
 			putJob(j)
-			aerr := ctxError(ctx)
+			aerr := CtxError(ctx)
 			s.cache.abort(key, f, aerr)
 			return nil, false, aerr
 		}
@@ -442,7 +392,7 @@ func (s *Server) lead(ctx context.Context, ep *epoch, key cacheKey, f *flight, n
 		if j.abandon() {
 			// The pipeline now owns the job and will recycle it; the
 			// buffers it may still be writing are no longer ours.
-			err := ctxError(ctx)
+			err := CtxError(ctx)
 			s.cache.abort(key, f, err)
 			return nil, false, err
 		}
@@ -463,7 +413,6 @@ func (s *Server) lead(ctx context.Context, ep *epoch, key cacheKey, f *flight, n
 	hits := wireHits(j.hits)
 	s.recycleJob(j)
 	s.cache.finish(key, f, hits)
-	s.metrics.totalH.Observe(time.Since(start))
 	return hits, false, nil
 }
 
@@ -490,109 +439,18 @@ func copyPipelineSpans(tr *obs.Trace, j *job) {
 	}
 }
 
-// Stats returns a point-in-time snapshot of the server's operational
-// counters — the same data GET /statsz serves.
-func (s *Server) Stats() StatsResponse { return s.statsSnapshot() }
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":   "draining",
-			"uptime_s": time.Since(s.metrics.start).Seconds(),
-		})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"degraded": s.Degraded(),
-		"uptime_s": time.Since(s.metrics.start).Seconds(),
-	})
+func (s *Server) Statsz() any {
+	snap := s.Stats()
+	return &snap
 }
 
-// handleReadyz is readiness, distinct from /healthz's liveness: a
-// draining server is still alive (it is finishing in-flight work) but
-// must not receive new traffic, so /readyz flips to 503 the moment
-// BeginDrain runs. The other not-ready phase — startup, while the
-// database loads and the index builds — is served by cmd/seqserve's
-// holding handler, which answers 503/starting on every path until the
-// Server exists; by the time this handler is reachable the pipeline is
-// warm. Coordinators (internal/cluster) and load balancers gate on
-// this endpoint; probing /healthz for routing decisions conflates "the
-// process is up" with "the process wants traffic".
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready":  false,
-			"reason": "draining",
-		})
-		return
-	}
+// Health is always ready once the Server exists (the pipeline is warm
+// by then; draining is the Frontend's flag) and reports the serving
+// epoch's degraded flag and snapshot version.
+func (s *Server) Health() (string, map[string]any) {
 	ep := s.cur.Load()
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"ready":            true,
-		"degraded":         ep.degraded.Load(),
-		"snapshot_version": ep.version,
-	})
+	return "", map[string]any{"degraded": ep.degraded.Load(), "snapshot_version": ep.version}
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	snap := s.statsSnapshot()
-	s.writeJSON(w, http.StatusOK, &snap)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the client hanging up is its problem, not ours
-}
-
-func (s *Server) writeError(w http.ResponseWriter, e *apiError) {
-	s.metrics.errored.Add(1)
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
-	}
-	s.writeJSON(w, e.status, &ErrorResponse{Error: e.code, Detail: e.detail})
-}
-
-// failRequest writes an error response carrying the request's trace ID
-// and publishes the trace with the sentinel code as its outcome — so a
-// client holding a request_id can look its failure up in
-// /debug/traces.
-func (s *Server) failRequest(w http.ResponseWriter, tr *obs.Trace, e *apiError) {
-	s.metrics.errored.Add(1)
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
-	}
-	s.writeJSON(w, e.status, &ErrorResponse{Error: e.code, Detail: e.detail, RequestID: tr.ID})
-	s.finishTrace(tr, e.code)
-}
-
-// finishTrace stamps the trace's outcome and degraded flag, publishes
-// it to the ring (after which it is immutable), and emits the
-// structured access-log line when one is configured.
-func (s *Server) finishTrace(tr *obs.Trace, outcome string) {
-	tr.Degraded = s.Degraded()
-	tr.Finish(outcome)
-	s.metrics.ring.Publish(tr)
-	if s.accessLog != nil {
-		s.accessLog.Info("request",
-			"id", tr.ID,
-			"path", tr.Path,
-			"outcome", outcome,
-			"total_us", tr.TotalUs,
-			"kernel", tr.Kernel,
-			"query_len", tr.QueryLen,
-			"cached", tr.CacheHit,
-			"batch", tr.BatchSize)
-	}
-}
-
-// MetricsRegistry returns the server's metric registry — the same
-// instruments GET /metrics renders; cmd/seqserve mounts it on the
-// debug listener as well.
-func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics.reg }
-
-// TraceRing returns the ring of recent request traces behind
-// GET /debug/traces.
-func (s *Server) TraceRing() *obs.Ring { return s.metrics.ring }
+// ServeDebug serves the -debug-addr listener (Frontend.ServeDebug).
+func (s *Server) ServeDebug(addr string) error { return s.fe.ServeDebug(addr) }

@@ -7,27 +7,21 @@ import (
 	"repro/internal/obs"
 )
 
-// The server's operational state lives in ONE place: an internal/obs
-// registry. GET /metrics renders it as Prometheus text exposition and
-// GET /statsz summarizes the same instruments as JSON, so the two
-// views cannot disagree — /statsz is a projection of /metrics, not a
-// parallel set of counters. Latency histograms are obs.Histogram
-// (log-linear, 4 sub-buckets per power of two), which makes the
-// reported p50/p95/p99 tight to <=25% instead of the 2x a pure
-// power-of-two layout allowed.
+// The server's operational state lives in ONE place: the Frontend's
+// internal/obs registry, where the front-end's common instruments
+// (requests, errors, in-flight, streams, request latency) and the
+// pipeline's own (below) sit side by side. GET /metrics renders it as
+// Prometheus text exposition and GET /statsz summarizes the same
+// instruments as JSON, so the two views cannot disagree — /statsz is a
+// projection of /metrics, not a parallel set of counters. Latency
+// histograms are obs.Histogram (log-linear, 4 sub-buckets per power of
+// two), which makes the reported p50/p95/p99 tight to <=25% instead of
+// the 2x a pure power-of-two layout allowed.
 
-// metrics is the server's instrument set. Everything on the hot path
-// is a pre-registered atomic instrument — counting a request allocates
-// nothing. The trace ring rides along: it is the per-request
-// counterpart of the aggregate counters.
+// metrics is the local pipeline's instrument set. Everything on the hot
+// path is a pre-registered atomic instrument — counting a request
+// allocates nothing.
 type metrics struct {
-	start time.Time
-	reg   *obs.Registry
-	ring  *obs.Ring
-
-	requests *obs.Counter // /search requests admitted past validation
-	errored  *obs.Counter // requests rejected with an error response
-	inFlight *obs.Gauge   // /search requests currently being served
 	// kernelRequests tallies admitted requests by resolved kernel; the
 	// label set is align.KernelNames() plus the registry's catch-all.
 	kernelRequests *obs.CounterVec
@@ -37,82 +31,49 @@ type metrics struct {
 	// The resilience counters. Each is a distinct way the server chose
 	// to degrade a request instead of degrading itself.
 	shed      *obs.Counter // requests refused with 429 at admission
-	timeouts  *obs.Counter // requests that hit their deadline (408)
 	panics    *obs.Counter // scoring panics isolated to single requests
 	abandoned *obs.Counter // jobs whose client vanished before scoring
 
 	reloads *obs.Counter // successful epoch swaps (Server.Swap)
-
-	// The streaming bulk-query path (/search/stream).
-	streamsOpen    *obs.Gauge   // connections currently streaming
-	streamsTotal   *obs.Counter // connections accepted over the uptime
-	streamLines    *obs.Counter // request lines decoded (valid or not)
-	streamResults  *obs.Counter // result lines written
-	streamErrors   *obs.Counter // per-line error lines written
-	streamInFlight *obs.Gauge   // window slots held across all streams
 
 	stageH *obs.HistogramVec // per-stage pipeline latency
 	queueH *obs.Histogram    // admission -> batch start
 	seedH  *obs.Histogram    // candidate generation (per batch with indexed jobs)
 	scanH  *obs.Histogram    // kernel rescoring pass (per batch)
 	rankH  *obs.Histogram    // ranking + completion (per batch)
-	totalH *obs.Histogram    // request admission -> response ready (per request)
 }
 
-// initMetrics builds the registry, instruments, and trace ring, and
-// registers the derived gauges that read live server state (admission
-// occupancy, cache counters, drain/degrade flags). Call once from New,
-// after the cache and admission gate exist.
-func (s *Server) initMetrics(ringSize int) {
+// initMetrics builds the pipeline's instruments and registers them,
+// with the derived gauges that read live server state (admission
+// occupancy, cache counters, the degrade flag), on the Frontend's
+// registry. Call once from New, after the cache, the admission gate and
+// the Frontend exist.
+func (s *Server) initMetrics() {
 	m := &s.metrics
-	m.start = time.Now()
-	m.reg = obs.NewRegistry()
-	m.ring = obs.NewRing(ringSize)
-
-	m.requests = obs.NewCounter()
-	m.errored = obs.NewCounter()
-	m.inFlight = obs.NewGauge()
 	m.kernelRequests = obs.NewCounterVec("kernel", align.KernelNames()...)
 	m.batches = obs.NewCounter()
 	m.batchJobs = obs.NewCounter()
 	m.shed = obs.NewCounter()
-	m.timeouts = obs.NewCounter()
 	m.panics = obs.NewCounter()
 	m.abandoned = obs.NewCounter()
 	m.reloads = obs.NewCounter()
-	m.streamsOpen = obs.NewGauge()
-	m.streamsTotal = obs.NewCounter()
-	m.streamLines = obs.NewCounter()
-	m.streamResults = obs.NewCounter()
-	m.streamErrors = obs.NewCounter()
-	m.streamInFlight = obs.NewGauge()
 	m.stageH = obs.NewHistogramVec("stage", "queue", "seed", "scan", "rank")
 	m.queueH = m.stageH.With("queue")
 	m.seedH = m.stageH.With("seed")
 	m.scanH = m.stageH.With("scan")
 	m.rankH = m.stageH.With("rank")
-	m.totalH = obs.NewHistogram()
 
-	r := m.reg
-	r.RegisterGaugeFunc("seqserve_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(m.start).Seconds() })
-	r.RegisterCounter("seqserve_requests_total", "Search requests admitted past validation (POST and stream lines).", m.requests)
-	r.RegisterCounter("seqserve_errors_total", "Requests answered with an error response.", m.errored)
-	r.RegisterGauge("seqserve_in_flight", "Search requests currently being served.", m.inFlight)
+	r := s.fe.Registry()
 	r.RegisterCounterVec("seqserve_kernel_requests_total", "Admitted requests by resolved scoring kernel.", m.kernelRequests)
-	r.RegisterHistogram("seqserve_request_latency_us", "End-to-end request latency in microseconds (admission to response ready).", m.totalH)
 	r.RegisterHistogramVec("seqserve_stage_latency_us", "Pipeline stage latency in microseconds.", m.stageH)
 	r.RegisterCounter("seqserve_batches_total", "Micro-batches executed.", m.batches)
 	r.RegisterCounter("seqserve_batch_jobs_total", "Jobs summed over executed micro-batches.", m.batchJobs)
 
 	r.RegisterCounter("seqserve_shed_total", "Requests refused with 429 at the admission gate.", m.shed)
-	r.RegisterCounter("seqserve_timeouts_total", "Requests that hit their deadline.", m.timeouts)
 	r.RegisterCounter("seqserve_panics_total", "Scoring panics isolated to single requests.", m.panics)
 	r.RegisterCounter("seqserve_abandoned_total", "Jobs abandoned because their client vanished or timed out before scoring.", m.abandoned)
 	r.RegisterGaugeFunc("seqserve_degraded", "1 when the serving epoch has stopped trusting its index (exhaustive scans only).",
 		func() float64 { return boolGauge(s.Degraded()) })
-	r.RegisterGaugeFunc("seqserve_draining", "1 when the server is draining for shutdown.",
-		func() float64 { return boolGauge(s.draining.Load()) })
 
 	// The hot-reload surface: how many swaps have landed, how many pins
 	// the serving epoch holds (1 = idle: just the owner), and the
@@ -139,13 +100,6 @@ func (s *Server) initMetrics(ringSize int) {
 		func() int64 { _, misses, _ := s.cache.counters(); return misses })
 	r.RegisterCounterFunc("seqserve_cache_coalesced_total", "Requests coalesced onto an identical in-flight computation.",
 		func() int64 { _, _, coalesced := s.cache.counters(); return coalesced })
-
-	r.RegisterGauge("seqserve_streams_open", "Streaming connections open now.", m.streamsOpen)
-	r.RegisterCounter("seqserve_streams_total", "Streaming connections accepted over the uptime.", m.streamsTotal)
-	r.RegisterCounter("seqserve_stream_lines_total", "Stream request lines decoded (valid or not).", m.streamLines)
-	r.RegisterCounter("seqserve_stream_results_total", "Stream result lines written.", m.streamResults)
-	r.RegisterCounter("seqserve_stream_errors_total", "Stream per-line error lines written.", m.streamErrors)
-	r.RegisterGauge("seqserve_stream_window_inflight", "Flow-control window slots held across all streams.", m.streamInFlight)
 }
 
 func boolGauge(b bool) float64 {
@@ -246,20 +200,21 @@ type StatsResponse struct {
 	Stages    map[string]HistogramSnapshot `json:"stages"`
 }
 
-func (s *Server) statsSnapshot() StatsResponse {
+// Stats returns a point-in-time snapshot of the server's operational
+// counters — the same data GET /statsz serves.
+func (s *Server) Stats() StatsResponse {
 	// Pin the epoch for the read: db/ix stay dereferenceable even if a
 	// swap (and the old epoch's unmap) lands mid-snapshot.
 	ep := s.currentEpoch()
 	defer ep.unref()
 
+	fe := s.fe
 	var r StatsResponse
-	r.UptimeS = time.Since(s.metrics.start).Seconds()
-	r.Requests = s.metrics.requests.Value()
-	r.Errors = s.metrics.errored.Value()
+	r.UptimeS = time.Since(fe.start).Seconds()
+	r.Requests, r.Errors, r.InFlight = fe.Counts()
 	if r.UptimeS > 0 {
 		r.QPS = float64(r.Requests) / r.UptimeS
 	}
-	r.InFlight = s.metrics.inFlight.Value()
 	r.Workers = s.cfg.Workers
 	r.DBSeqs = ep.db.NumSeqs()
 	r.DBResidues = ep.db.TotalResidues()
@@ -268,11 +223,11 @@ func (s *Server) statsSnapshot() StatsResponse {
 	}
 
 	r.ShedTotal = s.metrics.shed.Value()
-	r.TimeoutTotal = s.metrics.timeouts.Value()
+	r.TimeoutTotal = fe.timeouts.Value()
 	r.PanicTotal = s.metrics.panics.Value()
 	r.AbandonedTotal = s.metrics.abandoned.Value()
 	r.Degraded = ep.degraded.Load()
-	r.Draining = s.draining.Load()
+	r.Draining = fe.Draining()
 	r.SnapshotVersion = ep.version
 	r.Reloads = s.metrics.reloads.Value()
 	r.EpochRefs = ep.refs.Load() - 1 // exclude this snapshot's own pin
@@ -290,13 +245,13 @@ func (s *Server) statsSnapshot() StatsResponse {
 		r.Cache.HitRate = float64(hits+coalesced) / float64(total)
 	}
 
-	r.Streams.Open = s.metrics.streamsOpen.Value()
-	r.Streams.Total = s.metrics.streamsTotal.Value()
-	r.Streams.Lines = s.metrics.streamLines.Value()
-	r.Streams.Results = s.metrics.streamResults.Value()
-	r.Streams.Errors = s.metrics.streamErrors.Value()
-	r.Streams.InFlight = s.metrics.streamInFlight.Value()
-	r.Streams.Window = s.cfg.StreamWindow
+	r.Streams.Open = fe.streamsOpen.Value()
+	r.Streams.Total = fe.streamsTotal.Value()
+	r.Streams.Lines = fe.streamLines.Value()
+	r.Streams.Results = fe.streamResults.Value()
+	r.Streams.Errors = fe.streamErrors.Value()
+	r.Streams.InFlight = fe.streamInFlight.Value()
+	r.Streams.Window = fe.cfg.StreamWindow
 	if r.UptimeS > 0 {
 		r.StreamQPS = float64(r.Streams.Results) / r.UptimeS
 	}
@@ -310,7 +265,7 @@ func (s *Server) statsSnapshot() StatsResponse {
 		"seed":  summarize(s.metrics.seedH),
 		"scan":  summarize(s.metrics.scanH),
 		"rank":  summarize(s.metrics.rankH),
-		"total": summarize(s.metrics.totalH),
+		"total": summarize(fe.totalH),
 	}
 	return r
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,12 +23,13 @@ import (
 // batch pipeline's rate instead of one HTTP round trip each. Four
 // roles share the connection:
 //
-//	pump    — reads lines, decodes, validates, claims a window slot,
-//	          and spawns one waiter per query;
+//	pump    — reads lines, claims a window slot, decodes, has the
+//	          Backend Prepare (validate) the query, and spawns one
+//	          waiter per query;
 //	waiters — one goroutine per in-flight query: each runs the
-//	          ordinary search path (cache -> single-flight ->
-//	          pipeline) with BLOCKING admission and hands the
-//	          finished line to the writer;
+//	          Backend's Search (the local pipeline with BLOCKING
+//	          admission, or the router's scatter-gather) and hands
+//	          the finished line to the writer;
 //	writer  — owns the ResponseWriter: encodes lines, releases the
 //	          window slot a line held, and flushes when the pipeline
 //	          goes idle (or on the supervisor's tick), so a flood of
@@ -39,13 +39,13 @@ import (
 //	          and writes the one terminal line.
 //
 // Flow control is the slot channel: Config.StreamWindow slots bound
-// how many queries are decoded but not yet written back. A full
-// window pauses the PUMP — per-connection backpressure — instead of
+// how many lines are read but not yet written back. A full window
+// pauses the PUMP — per-connection backpressure — instead of
 // 429-shedding mid-stream, and because slots are released only after
 // the result line is written, a client that stops reading freezes its
-// own stream at a bounded memory footprint. The admission gate is
-// still consulted per query (blocking, not shedding), so streams and
-// single POSTs compete for the same bounded pipeline.
+// own stream at a bounded memory footprint. (The Server's admission
+// gate is still consulted per query — blocking, not shedding — so
+// streams and single POSTs compete for the same bounded pipeline.)
 //
 // The pump reads with NO deadline. This is deliberate: net/http
 // cancels the whole request context when any connection read fails,
@@ -55,9 +55,10 @@ import (
 // the pump's blocked read then resolves when the handler returns and
 // the server closes the body.
 //
-// Failure is per line: malformed JSON, unknown fields, oversized
-// lines, and every validation error produce an error line with the
-// same sentinel codes as single POSTs and the stream lives on. The
+// Failure is per line: malformed JSON, unknown fields, trailing data,
+// oversized lines, and every Prepare or Search error produce an error
+// line with the same sentinel codes as single POSTs and the stream
+// lives on (an undecodable line's answer carries no id). The
 // stream itself ends with exactly one terminal line: clean EOF, or a
 // terminal sentinel — draining (BeginDrain mid-stream), client_stall
 // (the connection idled past Config.StreamStallTimeout, injected or
@@ -132,19 +133,15 @@ func (lr *lineReader) next() ([]byte, error) {
 	}
 }
 
-// flushTick asks the writer for a liveness flush. The supervisor
-// enqueues one (non-blocking) every poll tick so buffered result lines
-// reach a slow-trickle client within one tick even while other queries
-// are still in flight; it holds no window slot.
-type flushTick struct{}
-
 // outLine is one result or error line queued for the writer, carrying
 // its trace so the writer — the last goroutine to touch the line — can
 // record the write span and publish. The hand-off through the out
 // channel is the ownership transfer: the producer stops touching the
-// trace once it sends.
+// trace once it sends. A nil *outLine in the queue is the supervisor's
+// liveness tick: it asks the writer for a flush and holds no window
+// slot.
 type outLine struct {
-	v       any // *StreamResult or *streamErrLine
+	v       any // the Backend's result line or a *streamErrLine
 	tr      *obs.Trace
 	outcome string
 	handoff time.Time // when the producer queued the line
@@ -158,27 +155,19 @@ type stream struct {
 	lastLine atomic.Int64 // UnixNano of the last line (or stream start)
 }
 
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	// The connection gets a trace of its own; each decoded line then
 	// gets a per-line trace whose ID is "<connection id>#<line no>", so
 	// one /debug/traces?id= prefix query surfaces a whole stream.
-	tr := obs.StartTrace(r.Header.Get("X-Request-Id"))
-	tr.Path = "stream"
-	w.Header().Set("X-Request-Id", tr.ID)
-	if s.draining.Load() {
-		s.failRequest(w, tr, errDraining)
-		return
-	}
-	if r.Method != http.MethodPost {
-		s.failRequest(w, tr, &apiError{status: http.StatusMethodNotAllowed, code: ErrBadMethod,
-			detail: "use POST with an NDJSON body"})
+	tr, ok := f.open(w, r, "stream", "use POST with an NDJSON body")
+	if !ok {
 		return
 	}
 	connID := tr.ID
 
-	s.metrics.streamsTotal.Add(1)
-	s.metrics.streamsOpen.Add(1)
-	defer s.metrics.streamsOpen.Add(-1)
+	f.streamsTotal.Add(1)
+	f.streamsOpen.Add(1)
+	defer f.streamsOpen.Add(-1)
 
 	// HTTP/1.x is half-duplex by default: the server closes the request
 	// body as soon as the handler writes. Streaming is exactly the
@@ -191,16 +180,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_ = ctl.Flush() // commit headers so the client can start its reader
 
-	stall := s.cfg.StreamStallTimeout
-	window := s.cfg.StreamWindow
+	stall := f.cfg.StreamStallTimeout
 	st := &stream{}
 	st.lastLine.Store(time.Now().UnixNano())
-	slots := make(chan struct{}, window) // held from decode to written line
-	out := make(chan any, window)        // finished lines awaiting the writer
-	stopCh := make(chan struct{})        // closed when the handler ends the stream
+	slots := make(chan struct{}, f.cfg.StreamWindow) // held from read to written line
+	out := make(chan *outLine, f.cfg.StreamWindow)   // finished lines awaiting the writer
+	stopCh := make(chan struct{})                    // closed when the handler ends the stream
 	writerDone := make(chan struct{})
 	pumpDone := make(chan struct{})
-	pumpEnd := (*apiError)(nil) // pump's verdict; read after <-pumpDone
+	pumpEnd := (*APIError)(nil) // pump's verdict; read after <-pumpDone
 	var writeFailed atomic.Bool
 	var mu sync.Mutex // guards stopped against late claims
 	stopped := false
@@ -210,14 +198,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		defer close(writerDone)
 		enc := json.NewEncoder(w)
 		var lastArm time.Time // write deadline re-armed at stall/8 granularity
-		for v := range out {
-			if _, tick := v.(flushTick); tick {
+		for ol := range out {
+			if ol == nil { // liveness tick
 				if !writeFailed.Load() {
 					_ = ctl.Flush()
 				}
 				continue
 			}
-			ol := v.(*outLine)
 			if !writeFailed.Load() {
 				// Arming a write deadline is a syscall; at thousands of
 				// tiny lines per second it would rival the encode itself.
@@ -239,13 +226,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 					st.lastLine.Store(time.Now().UnixNano())
 				}
 			}
-			if ol.tr != nil {
-				// The writer is the line's last owner: record how long
-				// the line waited from hand-off to the wire, then publish.
-				ol.tr.SpanSince(obs.StageWrite, ol.handoff)
-				s.finishTrace(ol.tr, ol.outcome)
-			}
-			s.metrics.streamInFlight.Add(-1)
+			// The writer is the line's last owner: record how long the
+			// line waited from hand-off to the wire, then publish.
+			ol.tr.SpanSince(obs.StageWrite, ol.handoff)
+			f.finishTrace(ol.tr, ol.outcome)
+			f.streamInFlight.Add(-1)
 			<-slots
 			// Flush only when the whole pipeline is idle — nothing queued
 			// behind this line and no query still holding a slot. Under a
@@ -253,7 +238,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// few wire writes (the syscall per line would otherwise rival
 			// the alignment itself); the moment the stream goes quiet the
 			// last line is flushed immediately, and mid-flood liveness is
-			// the supervisor's flushTick. The racy len() reads are safe:
+			// the supervisor's liveness tick. The racy len() reads are safe:
 			// a misread only defers the flush to the next line or tick.
 			if !writeFailed.Load() && len(out) == 0 && len(slots) == 0 {
 				_ = ctl.Flush()
@@ -264,10 +249,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// claim reserves the right to emit one line: a window slot plus a
 	// WaitGroup count, refused once the handler has ended the stream.
 	// Every line sent to the writer — result or error — holds exactly
-	// one claim from decode until the writer retires it, so the slot
+	// one claim from read until the writer retires it, so the slot
 	// arithmetic is uniform, and wg.Wait() below settles every line
 	// before out closes. A full window parks the pump HERE: that pause
-	// is the per-connection backpressure.
+	// is the per-connection backpressure. Claiming before Prepare means
+	// a prepared query always reaches Search, which releases its pins.
 	claim := func() bool {
 		select {
 		case slots <- struct{}{}:
@@ -282,20 +268,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Add(1)
 		mu.Unlock()
-		s.metrics.streamInFlight.Add(1)
+		f.streamInFlight.Add(1)
 		return true
 	}
-	emitErr := func(id string, aerr *apiError, ltr *obs.Trace) { // consumes one claim
+	emitErr := func(id string, aerr *APIError, ltr *obs.Trace) { // consumes one claim
 		st.errs.Add(1)
-		s.metrics.streamErrors.Add(1)
-		if aerr.code == ErrDeadline {
-			s.metrics.timeouts.Add(1)
+		f.streamErrors.Add(1)
+		if aerr.Code == ErrDeadline {
+			f.timeouts.Add(1)
 		}
-		line := &streamErrLine{ID: id, Error: aerr.code, Detail: aerr.detail}
-		if ltr != nil {
-			line.RequestID = ltr.ID
+		if len(id) > MaxStreamIDLen {
+			id = "" // the cap exists so an echoed tag cannot balloon a line
 		}
-		out <- &outLine{v: line, tr: ltr, outcome: aerr.code, handoff: time.Now()}
+		line := &streamErrLine{ID: id, Error: aerr.Code, Detail: aerr.Detail, RequestID: ltr.ID}
+		out <- &outLine{v: line, tr: ltr, outcome: aerr.Code, handoff: time.Now()}
 		wg.Done()
 	}
 
@@ -308,24 +294,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// touching lastLine — so the handler's idle accounting sees
 			// a real stall and cuts the stream off with the completed
 			// results flushed.
-			if d := s.cfg.Faults.Delay(faults.ClientStall); d > 0 {
+			if d := f.cfg.Faults.Delay(faults.ClientStall); d > 0 {
 				faults.Sleep(r.Context(), d)
 			}
 			line, err := lr.next()
 			switch {
-			case err == nil:
-				// fall through to decode below
-			case errors.Is(err, errLineTooLong):
-				lineNo := st.lines.Add(1)
+			case err == nil && len(bytes.TrimSpace(line)) == 0:
+				// Blank lines are NDJSON keep-alives: they reset the
+				// stall budget without being request lines.
 				st.lastLine.Store(time.Now().UnixNano())
-				s.metrics.streamLines.Add(1)
-				if !claim() {
-					return
-				}
-				ltr := obs.StartTrace(fmt.Sprintf("%s#%d", connID, lineNo))
-				ltr.Path = "stream_line"
-				emitErr("", badRequest(ErrBadRequest, "request line exceeds %d bytes", maxStreamLineBytes), ltr)
 				continue
+			case err == nil || errors.Is(err, errLineTooLong):
+				// a request line: fall through to answer it below
 			case errors.Is(err, io.EOF):
 				return // clean end: the client sent everything
 			default:
@@ -336,103 +316,53 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				pumpEnd = errClientGone
 				return
 			}
-			if len(bytes.TrimSpace(line)) == 0 {
-				// Blank lines are NDJSON keep-alives: they reset the
-				// stall budget without being request lines.
-				st.lastLine.Store(time.Now().UnixNano())
-				continue
-			}
 			lineNo := st.lines.Add(1)
 			st.lastLine.Store(time.Now().UnixNano())
-			s.metrics.streamLines.Add(1)
-
-			// The per-line trace starts at decode: its span sequence is
-			// decode -> (admission/queue/seed/scan/rank inside search)
-			// -> search -> write, the stream analogue of the POST path.
-			ltr := obs.StartTrace(fmt.Sprintf("%s#%d", connID, lineNo))
-			ltr.Path = "stream_line"
-
-			var req StreamRequest
-			dec := json.NewDecoder(bytes.NewReader(line))
-			dec.DisallowUnknownFields()
-			var lineErr *apiError
-			if derr := dec.Decode(&req); derr != nil {
-				lineErr = badRequest(ErrBadRequest, "decoding line %d: %v", lineNo, derr)
-			} else if dec.More() {
-				lineErr = badRequest(ErrBadRequest, "line %d has trailing data after the JSON object", lineNo)
-			}
-			// Each line pins the epoch it decodes under: a hot reload
-			// mid-stream means earlier lines answer from the old data and
-			// later lines from the new — every line internally
-			// consistent, each stamped with the version that served it.
-			var norm normalized
-			var lep *epoch
-			if lineErr == nil {
-				lep = s.currentEpoch()
-				norm, lineErr = s.validateStream(lep, &req)
-				if lineErr != nil {
-					lep.unref()
-					lep = nil
-				}
-			}
-			ltr.SpanSince(obs.StageDecode, ltr.Start)
-
+			f.streamLines.Add(1)
 			if !claim() {
-				if lep != nil {
-					lep.unref()
-				}
 				return
 			}
-			if lineErr != nil {
-				emitErr(req.ID, lineErr, ltr)
+
+			// The per-line trace starts at decode: its span sequence is
+			// decode -> (the backend's stages inside search) -> search
+			// -> write, the stream analogue of the POST path.
+			ltr := obs.StartTrace(fmt.Sprintf("%s#%d", connID, lineNo))
+			ltr.Path = "stream_line"
+			if err != nil {
+				emitErr("", badRequest(ErrBadRequest, "request line exceeds %d bytes", maxStreamLineBytes), ltr)
 				continue
 			}
-			ltr.Kernel = norm.kernel.String()
-			ltr.QueryLen = len(norm.residues)
-			ltr.Exhausted = norm.exhaustive
-			s.metrics.requests.Add(1)
-			s.metrics.kernelRequests.With(ltr.Kernel).Add(1)
+			q := f.b.NewQuery(true)
+			if derr := decodeStrict(line, q.Target()); derr != nil {
+				emitErr("", badRequest(ErrBadRequest, "decoding line %d: %v", lineNo, derr), ltr)
+				continue
+			}
+			id, timeoutMs, aerr := q.Prepare(ltr)
+			ltr.SpanSince(obs.StageDecode, ltr.Start)
+			if aerr != nil {
+				emitErr(id, aerr, ltr)
+				continue
+			}
+			f.requests.Add(1)
 
-			go func(id string, norm normalized, ltr *obs.Trace, lep *epoch) { // the waiter owns the claim and the pin
-				defer lep.unref()
+			go func() { // the waiter owns the claim
 				start := time.Now()
-				s.metrics.inFlight.Add(1)
-				defer s.metrics.inFlight.Add(-1)
-				ctx := r.Context()
-				if norm.timeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, norm.timeout)
-					defer cancel()
-				}
-				hits, cached, aerr := s.search(ctx, lep, norm, start, true, ltr)
+				f.inFlight.Add(1)
+				defer f.inFlight.Add(-1)
+				ctx, cancel := f.deadline(r.Context(), timeoutMs)
+				defer cancel()
+				resp, aerr := q.Search(ctx, ltr)
 				if aerr != nil {
 					emitErr(id, aerr, ltr)
 					return
 				}
+				f.totalH.Observe(time.Since(start))
 				ltr.SpanSince(obs.StageSearch, start)
-				ltr.CacheHit = cached
 				st.results.Add(1)
-				s.metrics.streamResults.Add(1)
-				out <- &outLine{
-					v: &StreamResult{
-						ID: id,
-						SearchResponse: SearchResponse{
-							QueryLen:        len(norm.residues),
-							Kernel:          norm.kernel.String(),
-							K:               norm.topK,
-							Exhaustive:      norm.exhaustive,
-							Cached:          cached,
-							Hits:            hits,
-							TookUs:          time.Since(start).Microseconds(),
-							SnapshotVersion: lep.version,
-						},
-					},
-					tr:      ltr,
-					outcome: obs.OutcomeOK,
-					handoff: time.Now(),
-				}
+				f.streamResults.Add(1)
+				out <- &outLine{v: resp, tr: ltr, outcome: okOutcome(ltr), handoff: time.Now()}
 				wg.Done()
-			}(req.ID, norm, ltr, lep)
+			}()
 		}
 	}()
 
@@ -440,7 +370,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// stream, and so do the two conditions the pump cannot see from
 	// inside a blocked read — BeginDrain, and a client idle past the
 	// stall budget.
-	end := (*apiError)(nil) // nil: clean EOF
+	end := (*APIError)(nil) // nil: clean EOF
 	ticker := time.NewTicker(streamDrainPoll)
 	defer ticker.Stop()
 supervising:
@@ -450,13 +380,13 @@ supervising:
 			end = pumpEnd
 			break supervising
 		case <-ticker.C:
-			if s.draining.Load() {
+			if f.draining.Load() {
 				end = errDraining
 				break supervising
 			}
 			if stall > 0 && time.Since(time.Unix(0, st.lastLine.Load())) > stall {
-				end = &apiError{code: ErrClientStall,
-					detail: "client stalled past the stream stall timeout; stream cut off"}
+				end = &APIError{Code: ErrClientStall,
+					Detail: "client stalled past the stream stall timeout; stream cut off"}
 				break supervising
 			}
 			// Liveness: results the writer batched for throughput reach
@@ -464,7 +394,7 @@ supervising:
 			// the pipeline busy. Non-blocking — a full queue means the
 			// writer has plenty to do and will flush on its own.
 			select {
-			case out <- flushTick{}:
+			case out <- nil:
 			default:
 			}
 		}
@@ -472,7 +402,7 @@ supervising:
 
 	// Settle, in strict order: no new claims, every claimed line
 	// resolved (a waiter finishes with its result, or with the
-	// draining/deadline error its job was failed with), the writer
+	// draining/deadline error its search failed with), the writer
 	// retires every queued line, and only then the one terminal line.
 	// Partial results are flushed no matter how the stream ended.
 	mu.Lock()
@@ -482,27 +412,22 @@ supervising:
 	wg.Wait()
 	close(out)
 	<-writerDone
+	outcome := obs.OutcomeOK
+	endLine := streamEndLine{
+		Terminal: true,
+		Lines:    st.lines.Load(),
+		Results:  st.results.Load(),
+		Errors:   st.errs.Load(),
+	}
+	if end != nil {
+		outcome, endLine.Error, endLine.Detail = end.Code, end.Code, end.Detail
+	}
 	if !writeFailed.Load() {
-		endLine := streamEndLine{
-			Terminal: true,
-			Lines:    st.lines.Load(),
-			Results:  st.results.Load(),
-			Errors:   st.errs.Load(),
-		}
-		if end != nil {
-			endLine.Error = end.code
-			endLine.Detail = end.detail
-		}
 		if stall > 0 {
 			_ = ctl.SetWriteDeadline(time.Now().Add(stall))
 		}
-		enc := json.NewEncoder(w)
-		_ = enc.Encode(&endLine)
+		_ = json.NewEncoder(w).Encode(&endLine)
 		_ = ctl.Flush()
 	}
-	outcome := obs.OutcomeOK
-	if end != nil {
-		outcome = end.code
-	}
-	s.finishTrace(tr, outcome)
+	f.finishTrace(tr, outcome)
 }

@@ -3,87 +3,128 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/bio"
 )
 
+// endlessLines is the worst client's request body: distinct valid
+// lines for as long as anyone reads.
+type endlessLines struct {
+	buf []byte
+	n   int
+}
+
+func (e *endlessLines) Read(p []byte) (int, error) {
+	if len(e.buf) == 0 {
+		e.n++
+		e.buf = fmt.Appendf(e.buf, `{"id":"%d","query":"ACDEFGHIKLMNPQRSTVWY"}`+"\n", e.n)
+	}
+	n := copy(p, e.buf)
+	e.buf = e.buf[:copy(e.buf, e.buf[n:])]
+	return n, nil
+}
+
+// gatedWriter is that client's read side: a ResponseWriter whose Write
+// blocks until the test grants it a token, and which samples the
+// flow-control invariant at every line it lets through.
+type gatedWriter struct {
+	f       *Frontend
+	allow   chan struct{} // one token per result line let through
+	written atomic.Int64  // completed line writes
+
+	maxAhead    int64 // max over samples of lines decoded - lines written
+	maxInFlight int64 // max over samples of window slots held
+}
+
+func (g *gatedWriter) Header() http.Header { return http.Header{} }
+func (g *gatedWriter) WriteHeader(int)     {}
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	<-g.allow
+	g.written.Add(1)
+	if ahead := g.f.streamLines.Value() - g.written.Load(); ahead > g.maxAhead {
+		g.maxAhead = ahead
+	}
+	if inFlight := g.f.streamInFlight.Value(); inFlight > g.maxInFlight {
+		g.maxInFlight = inFlight
+	}
+	return len(p), nil
+}
+
 // TestStreamBackpressureBoundsMemory is the flow-control invariant
-// under the worst client: one that feeds queries forever and never
-// reads a byte back. The window must pin the whole pipeline — in
-// flight never above StreamWindow, line decoding frozen once the
-// unread socket wedges the writer, heap flat — instead of buffering
-// results without bound. Excluded from -race builds: the race
-// detector's allocation overhead makes the heap ceiling meaningless.
+// under the worst client: one that feeds queries forever and reads
+// only when the test lets it. The window must pin the whole pipeline —
+// lines decoded never more than StreamWindow (+1 for the line the pump
+// holds at the gate) ahead of lines written, in flight never above
+// StreamWindow, heap flat — instead of buffering results without
+// bound. The engine is driven directly, no socket: nothing here depends
+// on how much a kernel buffer absorbs. Excluded from -race builds: the
+// race detector's allocation overhead makes the heap ceiling
+// meaningless.
 func TestStreamBackpressureBoundsMemory(t *testing.T) {
-	db := testDB(t, 150)
-	s := newTestServer(t, db, Config{Workers: 2, StreamWindow: 4, CacheEntries: -1})
-	httpSrv := httptest.NewServer(s.Handler())
-	defer httpSrv.Close()
-
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	req, err := http.NewRequest(http.MethodPost, httpSrv.URL+"/search/stream", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("open stream: %v", err)
-	}
-	defer resp.Body.Close() // never read: the slowest possible reader
-
-	// Feed distinct fat queries (K=150 on a 150-sequence database, so
-	// every result line carries the full hit list) as fast as the
-	// server will take them.
+	const window = 4
+	// 150 hits per answer: fat result lines, so unbounded buffering
+	// would show on the heap within a few hundred lines.
+	f := stubFrontend(&stubBackend{hits: 150}, Config{StreamWindow: window, StreamStallTimeout: -1})
+	w := &gatedWriter{f: f, allow: make(chan struct{})}
+	pr, pw := io.Pipe() // the pump's reads end when the test closes pw
+	go func() { _, _ = io.Copy(pw, &endlessLines{}) }()
+	done := make(chan struct{})
 	go func() {
-		for i := 0; ; i++ {
-			q := bio.Decode(db.Seqs[i%db.NumSeqs()].Residues)
-			line, _ := json.Marshal(StreamRequest{ID: fmt.Sprint(i),
-				SearchRequest: SearchRequest{Query: q, K: 150, Exhaustive: true}})
-			if _, err := pw.Write(append(line, '\n')); err != nil {
-				return // stream torn down at test end
-			}
-		}
+		defer close(done)
+		f.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/search/stream", pr))
 	}()
 
-	// Let the window, the socket buffers, and the writer wedge.
-	time.Sleep(500 * time.Millisecond)
+	// parked waits for the pump to run into the window: with `written`
+	// lines let through it may decode exactly window+1 more, and then
+	// must sit at the gate however long the writer stays blocked.
+	parked := func() {
+		t.Helper()
+		want := w.written.Load() + window + 1
+		for deadline := time.Now().Add(10 * time.Second); f.streamLines.Value() < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("pump decoded %d lines, never reached the window's edge at %d", f.streamLines.Value(), want)
+			}
+			runtime.Gosched()
+		}
+	}
+
+	parked()
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
-	lines0 := s.metrics.streamLines.Value()
-
-	window := int64(s.cfg.StreamWindow)
-	var maxInFlight int64
-	for i := 0; i < 15; i++ {
-		if got := s.metrics.streamInFlight.Value(); got > maxInFlight {
-			maxInFlight = got
-		}
-		time.Sleep(100 * time.Millisecond)
+	for i := 0; i < 2000; i++ {
+		w.allow <- struct{}{}
 	}
-	lines1 := s.metrics.streamLines.Value()
+	parked()
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
-	if maxInFlight > window {
-		t.Errorf("in-flight window reached %d, limit %d — flow control leaked", maxInFlight, window)
+	if got, want := f.streamLines.Value(), w.written.Load()+window+1; got != want {
+		t.Errorf("against a blocked writer the pump decoded %d lines with %d written, want it parked at exactly %d", got, w.written.Load(), want)
 	}
-	// The socket is full and nobody reads: the reader must be parked,
-	// not decoding ahead. A little slack covers lines the kernel's
-	// buffers were still absorbing when sampling started.
-	if advanced := lines1 - lines0; advanced > 64 {
-		t.Errorf("reader decoded %d more lines against a dead reader — backpressure never engaged", advanced)
+	if got := f.streamInFlight.Value(); got != window {
+		t.Errorf("in flight %d against a blocked writer, want the full window %d", got, window)
 	}
-	if grew := int64(after.HeapAlloc) - int64(base.HeapAlloc); grew > 16<<20 {
-		t.Errorf("heap grew %d bytes against a dead reader, want pinned (< 16MiB)", grew)
+	if grew := int64(after.HeapAlloc) - int64(base.HeapAlloc); grew > 4<<20 {
+		t.Errorf("heap grew %d bytes over 2000 lines against a gated reader, want pinned (< 4MiB)", grew)
+	}
+
+	// End the stream: the body closes, every claimed line drains through
+	// the now-open writer, and the terminal line follows.
+	pw.Close()
+	close(w.allow)
+	<-done
+	if w.maxAhead > window+1 {
+		t.Errorf("lines decoded ran %d ahead of lines written, limit %d — flow control leaked", w.maxAhead, window+1)
+	}
+	if w.maxInFlight > window {
+		t.Errorf("in-flight window reached %d, limit %d — flow control leaked", w.maxInFlight, window)
 	}
 }

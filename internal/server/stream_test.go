@@ -14,16 +14,16 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/bio"
-	"repro/internal/faults"
 )
 
-// The /search/stream suite. The streaming protocol's whole contract is
-// "the batch pipeline's throughput without giving anything up", so the
-// tests here pin the giving-nothing-up half: per-line results
-// bit-identical to single POSTs across kernels, paths, and window
-// sizes; malformed lines answered without killing the stream; drain
-// and stall cutoffs ending with exactly one terminal line after the
-// completed results flushed.
+// The /search/stream suite over the real pipeline. The streaming
+// protocol's whole contract is "the batch pipeline's throughput without
+// giving anything up", so the tests here pin the giving-nothing-up
+// half: per-line results bit-identical to single POSTs across kernels,
+// paths, and window sizes. The protocol itself — malformed lines, drain
+// and stall cutoffs, terminal-line accounting, flow control — is the
+// Frontend's and is tested once, against a stub Backend, in
+// frontend_test.go.
 
 // streamBody builds an NDJSON body from marshaled request lines.
 func streamBody(t testing.TB, reqs []StreamRequest) string {
@@ -247,212 +247,6 @@ func TestStreamAllVsAll(t *testing.T) {
 	}
 }
 
-// TestStreamMalformedLines is the bug-hardening contract: every way a
-// line can be wrong — garbage JSON, unknown fields, trailing data,
-// oversized, empty query, bad mode, bad id — answers with a per-line
-// sentinel error, and the stream keeps serving the valid lines around
-// them. Never a connection teardown, never a 500.
-func TestStreamMalformedLines(t *testing.T) {
-	db := testDB(t, 80)
-	s := newTestServer(t, db, Config{Workers: 2})
-	httpSrv := httptest.NewServer(s.Handler())
-	defer httpSrv.Close()
-
-	valid := func(id string) string {
-		line, _ := json.Marshal(StreamRequest{ID: id, SearchRequest: SearchRequest{Query: queryString(), K: 3}})
-		return string(line)
-	}
-	body := strings.Join([]string{
-		valid("ok-1"),
-		`{garbage`,                         // malformed JSON
-		`{"query":"ACDE","bogus":1}`,       // unknown field
-		`{"id":"trail","query":"ACDE"} {}`, // trailing data after the object
-		`{"id":"empty","query":""}`,        // empty query
-		`{"id":"mode","query":"ACDE","mode":"some_vs_some"}`,                     // bad mode
-		`{"id":"` + strings.Repeat("x", MaxStreamIDLen+1) + `","query":"ACDE"}`,  // oversized id
-		`{"id":"big","query":"` + strings.Repeat("A", maxStreamLineBytes) + `"}`, // oversized line
-		"",   // blank keep-alive, not a request line
-		"\r", // CRLF blank line
-		valid("ok-2"),
-	}, "\n") + "\n"
-
-	lines, terminal := postStream(t, httpSrv.URL, body)
-
-	wantErr := map[string]string{ // id (when decodable) -> sentinel
-		"empty": ErrEmptyQuery,
-		"mode":  ErrBadMode,
-	}
-	var gotOK, gotErr int
-	codes := map[string]int{}
-	for _, line := range lines {
-		if line.Error == "" {
-			gotOK++
-			if line.ID != "ok-1" && line.ID != "ok-2" {
-				t.Errorf("unexpected success for id %q", line.ID)
-			}
-			if len(line.Hits) != 3 {
-				t.Errorf("id %s: %d hits, want 3", line.ID, len(line.Hits))
-			}
-			continue
-		}
-		gotErr++
-		codes[line.Error]++
-		if want, ok := wantErr[line.ID]; ok && line.Error != want {
-			t.Errorf("id %s: error %q, want %q", line.ID, line.Error, want)
-		}
-	}
-	if gotOK != 2 {
-		t.Errorf("%d successful lines, want 2 (the stream must outlive every bad line)", gotOK)
-	}
-	if gotErr != 7 {
-		t.Errorf("%d error lines, want 7: %v", gotErr, codes)
-	}
-	// Garbage JSON, unknown field, trailing data, and the oversized
-	// line all map to bad_request; bad id and mode have their own
-	// sentinels.
-	if codes[ErrBadRequest] != 4 || codes[ErrBadID] != 1 || codes[ErrBadMode] != 1 || codes[ErrEmptyQuery] != 1 {
-		t.Errorf("sentinel spread %v, want 4x %s + 1x %s + 1x %s + 1x %s",
-			codes, ErrBadRequest, ErrBadID, ErrBadMode, ErrEmptyQuery)
-	}
-	// Blank lines are not request lines: 9 decoded lines, 2 results,
-	// 7 errors, clean terminal.
-	if terminal.Error != "" || terminal.Lines != 9 || terminal.Results != 2 || terminal.Errors != 7 {
-		t.Errorf("terminal %+v, want clean with lines=9 results=2 errors=7", terminal)
-	}
-}
-
-// TestStreamRefusedUpfront pins the connection-level refusals that are
-// NOT per-line errors: wrong method, and a stream opened against a
-// server already draining.
-func TestStreamRefusedUpfront(t *testing.T) {
-	s := newTestServer(t, testDB(t, 50), Config{Workers: 1})
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search/stream", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET status %d, want 405", rec.Code)
-	}
-
-	s.BeginDrain()
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search/stream", strings.NewReader("{}\n")))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("draining status %d, want 503", rec.Code)
-	}
-	var e ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != ErrDraining {
-		t.Errorf("draining body %q (err %v), want sentinel %s", rec.Body.String(), err, ErrDraining)
-	}
-}
-
-// TestStreamDrainMidStream: BeginDrain while a stream is live and fed.
-// The lines already accepted complete and flush; the stream then ends
-// with the terminal draining line instead of a connection reset.
-func TestStreamDrainMidStream(t *testing.T) {
-	db := testDB(t, 80)
-	s := newTestServer(t, db, Config{Workers: 2, StreamWindow: 4})
-	httpSrv := httptest.NewServer(s.Handler())
-	defer httpSrv.Close()
-
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	req, err := http.NewRequest(http.MethodPost, httpSrv.URL+"/search/stream", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("open stream: %v", err)
-	}
-	defer resp.Body.Close()
-
-	// Feed two queries and wait for both results: accepted work.
-	line, _ := json.Marshal(StreamRequest{ID: "before-drain", SearchRequest: SearchRequest{Query: queryString(), K: 3}})
-	if _, err := pw.Write([]byte(string(line) + "\n" + string(line) + "\n")); err != nil {
-		t.Fatalf("feed stream: %v", err)
-	}
-	br := bufio.NewScanner(resp.Body)
-	br.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	readLine := func() StreamResult {
-		t.Helper()
-		if !br.Scan() {
-			t.Fatalf("stream closed early: %v", br.Err())
-		}
-		var res StreamResult
-		if err := json.Unmarshal(br.Bytes(), &res); err != nil {
-			t.Fatalf("decode %q: %v", br.Text(), err)
-		}
-		return res
-	}
-	for i := 0; i < 2; i++ {
-		if res := readLine(); res.Error != "" || res.ID != "before-drain" {
-			t.Fatalf("pre-drain result %d: %+v", i, res)
-		}
-	}
-
-	// Drain with the connection open and idle: the reader's bounded
-	// poll must notice and end the stream with the draining sentinel.
-	s.BeginDrain()
-	terminal := readLine()
-	if !terminal.Terminal || terminal.Error != ErrDraining {
-		t.Fatalf("terminal line %+v, want terminal draining", terminal)
-	}
-	if terminal.Results != 2 {
-		t.Errorf("terminal results %d, want the 2 pre-drain results accounted", terminal.Results)
-	}
-	if br.Scan() {
-		t.Errorf("line after terminal: %s", br.Text())
-	}
-}
-
-// TestStreamChaosClientStall arms the client.stall fault against a
-// live stream: the injected mid-stream stall must burn the real idle
-// budget, cut the stream off with the client_stall sentinel, and still
-// flush the result that completed before the stall.
-func TestStreamChaosClientStall(t *testing.T) {
-	db := testDB(t, 80)
-	reg := faults.NewRegistry(7)
-	// After:1 lets the first loop iteration read one real line before
-	// the second iteration's probe injects the stall.
-	reg.Arm(faults.ClientStall, faults.Fault{After: 1, Every: 1, Delay: time.Second})
-	s := chaosServer(t, db, reg, Config{Workers: 2, StreamWindow: 4,
-		StreamStallTimeout: 200 * time.Millisecond})
-	httpSrv := httptest.NewServer(s.Handler())
-	defer httpSrv.Close()
-
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	req, err := http.NewRequest(http.MethodPost, httpSrv.URL+"/search/stream", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("open stream: %v", err)
-	}
-	defer resp.Body.Close()
-
-	line, _ := json.Marshal(StreamRequest{ID: "pre-stall", SearchRequest: SearchRequest{Query: queryString(), K: 3}})
-	if _, err := pw.Write(append(line, '\n')); err != nil {
-		t.Fatalf("feed stream: %v", err)
-	}
-	// The client now goes quiet; the armed stall plus the silence must
-	// trip the 200ms cutoff long before this test's own deadline.
-	start := time.Now()
-	lines, terminal := collectStream(t, resp.Body)
-	if terminal.Error != ErrClientStall {
-		t.Fatalf("terminal %+v, want %s", terminal, ErrClientStall)
-	}
-	if len(lines) != 1 || lines[0].ID != "pre-stall" || lines[0].Error != "" {
-		t.Errorf("pre-stall results %+v, want the one completed result flushed", lines)
-	}
-	if terminal.Results != 1 || terminal.Lines != 1 {
-		t.Errorf("terminal accounting %+v, want lines=1 results=1", terminal)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("stall cutoff took %v; the idle budget must bound it near 200ms", took)
-	}
-}
-
 // TestStreamStatsz pins the /statsz streaming section CI's jq
 // assertions read: the counters move, the wire names hold.
 func TestStreamStatsz(t *testing.T) {
@@ -490,50 +284,4 @@ func TestStreamStatsz(t *testing.T) {
 			t.Errorf("/statsz body lacks %s", field)
 		}
 	}
-}
-
-// FuzzStreamDecode throws arbitrary bodies at the NDJSON decode loop.
-// Whatever arrives, the handler must neither panic nor 500: every
-// request line is answered with a result or a sentinel error line, the
-// terminal line arrives exactly once and last, and its accounting adds
-// up.
-func FuzzStreamDecode(f *testing.F) {
-	valid, _ := json.Marshal(StreamRequest{ID: "v", SearchRequest: SearchRequest{Query: "ACDEFGHIKLMNPQRSTVWY", K: 2}})
-	f.Add([]byte(nil))
-	f.Add([]byte("\n"))
-	f.Add(append(valid, '\n'))
-	f.Add([]byte(string(valid) + "\n" + string(valid) + "\n"))
-	f.Add([]byte(`{garbage` + "\n"))
-	f.Add([]byte(`{"query":` + "\n")) // truncated JSON
-	f.Add([]byte(`{"query":"ACDE","bogus":1}` + "\n"))
-	f.Add([]byte(`{"id":"t","query":"ACDE"}{"x":1}` + "\n")) // interleaved trailing object
-	f.Add([]byte(`{"query":""}` + "\n"))
-	f.Add([]byte(`{"mode":"all_vs_all","query":"ACDE"}` + "\n"))
-	f.Add([]byte(string(valid))) // no trailing newline: still a line
-	f.Add([]byte("\x00\xff\xfe garbage bytes, not even JSON\n" + string(valid) + "\n"))
-	f.Add([]byte(`{"id":"` + strings.Repeat("i", MaxStreamIDLen+1) + `","query":"ACDE"}` + "\n"))
-	f.Add(bytes.Repeat([]byte{'a'}, maxStreamLineBytes+2)) // one oversized line
-
-	s := newTestServer(f, testDB(f, 40), Config{Workers: 2})
-	handler := s.Handler()
-
-	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search/stream", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d — the stream handler has no non-200 path for bad lines", rec.Code)
-		}
-		lines, terminal := collectStream(t, rec.Body)
-		var results, errs int64
-		for _, line := range lines {
-			if line.Error == "" {
-				results++
-			} else {
-				errs++
-			}
-		}
-		if terminal.Results != results || terminal.Errors != errs || terminal.Lines != results+errs {
-			t.Fatalf("terminal accounting %+v, observed %d results + %d errors", terminal, results, errs)
-		}
-	})
 }
