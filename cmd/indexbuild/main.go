@@ -1,28 +1,25 @@
-// Command indexbuild builds, saves, and inspects k-mer seed indexes
-// (internal/index) over a protein database. The saved index is what
-// turns seqalign's exhaustive scans into seed-and-extend searches
-// (seqalign -index); building it once and reusing it across queries
-// is the whole point of indexing the database rather than the query.
+// Command indexbuild packages a protein database AND its k-mer seed
+// index (internal/index) into one mmap-able SEQSNAP artifact
+// (internal/snapshot) — what `seqserve -snapshot` boots from in
+// milliseconds, what POST /admin/reload hot-swaps, and what
+// `seqalign -snapshot` searches without rebuilding anything. Building
+// the index once and reusing it across queries is the whole point of
+// indexing the database rather than the query; a snapshot is the only
+// form a prebuilt index travels in, so it can never be paired with the
+// wrong database.
 //
 // Usage:
-//
-//	indexbuild -db synthetic:2000 -o db.seqidx          # build + save
-//	indexbuild -db swissprot.fasta -k 5 -o sp.seqidx    # from FASTA
-//	indexbuild -inspect db.seqidx                       # header + stats
-//
-// The snapshot subcommand packages the database AND its index into one
-// mmap-able SEQSNAP artifact — what `seqserve -snapshot` boots from in
-// milliseconds and what POST /admin/reload hot-swaps:
 //
 //	indexbuild snapshot -db swissprot.fasta -version v1 -o sp.snap   # build
 //	indexbuild snapshot -db synthetic:300 -shard 100:200 -version v1 -o s1.snap  # per-shard
 //	indexbuild snapshot -inspect sp.snap                # manifest, no data read
-//	indexbuild snapshot -verify sp.snap                 # checksums + full reconstruction
+//	indexbuild snapshot -verify sp.snap [-top 5]        # checksums + full reconstruction + index statistics
 //
 // Synthetic databases are generated with the same defaults as dbgen
-// and seqalign (seed 20061001), so `indexbuild -db synthetic:N` and
-// `seqalign -db synthetic:N` agree on the database bit for bit; pass
-// the same -seed/-related/-parent to all of them when overriding.
+// and seqalign (seed 20061001), so `indexbuild snapshot -db
+// synthetic:N` and `seqalign -db synthetic:N` agree on the database
+// bit for bit; pass the same -seed/-related/-parent to all of them
+// when overriding.
 package main
 
 import (
@@ -30,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bio"
@@ -38,94 +34,14 @@ import (
 	"repro/internal/snapshot"
 )
 
+// main implements `indexbuild snapshot`, the tool's one mode: build a
+// SEQSNAP artifact from a database (+ freshly built index), or
+// inspect/verify an existing one. Build and the two read modes are
+// mutually exclusive.
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "snapshot" {
-		snapshotCmd(os.Args[2:])
-		return
+	if len(os.Args) < 2 || os.Args[1] != "snapshot" {
+		fatal(fmt.Errorf("usage: indexbuild snapshot [flags] (-h lists them): build a snapshot with -db/-version/-o, or examine one with -inspect/-verify"))
 	}
-	var (
-		dbArg    = flag.String("db", "", "database to index: FASTA file path or synthetic:<n>")
-		dbSeed   = flag.Int64("seed", 20061001, "synthetic database generator seed")
-		related  = flag.Int("related", 0, "plant this many homologs in a synthetic database")
-		parent   = flag.String("parent", "P14942", "Table II accession the planted homologs derive from")
-		k        = flag.Int("k", index.DefaultK, "k-mer length")
-		capFlag  = flag.Int("cap", index.DefaultMaxPostings, "max postings per k-mer (-1 = uncapped)")
-		workers  = flag.Int("workers", 0, "build workers (0 = all CPUs; any count builds the identical index)")
-		out      = flag.String("o", "", "write the index to this path")
-		inspect  = flag.String("inspect", "", "load an index file and print its statistics")
-		topKmers = flag.Int("top", 5, "with -inspect, show the most frequent k-mers")
-	)
-	flag.Parse()
-
-	if *inspect != "" {
-		inspectIndex(*inspect, *topKmers)
-		return
-	}
-	if *dbArg == "" {
-		fatal(fmt.Errorf("nothing to do: pass -db to build or -inspect to examine an index"))
-	}
-
-	if *k < index.MinK || *k > index.MaxK {
-		fatal(fmt.Errorf("-k %d outside [%d, %d]", *k, index.MinK, index.MaxK))
-	}
-	// The parent accession is only resolved when homologs are planted:
-	// bio.PaperQuery panics on unknown accessions, and -parent is
-	// meaningless without -related.
-	var parentSeq *bio.Sequence
-	if *related > 0 {
-		parentSeq = bio.PaperQuery(*parent)
-	}
-	db, err := bio.LoadDatabase(*dbArg, *dbSeed, *related, parentSeq)
-	if err != nil {
-		fatal(err)
-	}
-	start := time.Now()
-	ix := index.Build(db, index.Options{K: *k, MaxPostings: *capFlag, Workers: *workers})
-	buildTime := time.Since(start)
-	printStats(ix.Stats())
-	fmt.Printf("built in %v over %d sequences\n", buildTime.Round(time.Millisecond), db.NumSeqs())
-
-	if *out == "" {
-		return
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	if err := index.WriteIndex(f, ix); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	// Read the file straight back: a save that cannot round-trip is a
-	// bug worth failing loudly on, and the reload re-checks the
-	// database fingerprint the searches will rely on.
-	rf, err := os.Open(*out)
-	if err != nil {
-		fatal(err)
-	}
-	reloaded, err := index.ReadIndex(rf)
-	rf.Close()
-	if err != nil {
-		fatal(fmt.Errorf("verifying %s: %w", *out, err))
-	}
-	if err := reloaded.Validate(db); err != nil {
-		fatal(fmt.Errorf("verifying %s: %w", *out, err))
-	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d bytes, verified round-trip)\n", *out, info.Size())
-}
-
-// snapshotCmd implements `indexbuild snapshot`: build a SEQSNAP
-// artifact from a database (+ freshly built index), or inspect/verify
-// an existing one. Build and the two read modes are mutually
-// exclusive.
-func snapshotCmd(argv []string) {
 	fs := flag.NewFlagSet("indexbuild snapshot", flag.ExitOnError)
 	var (
 		dbArg   = fs.String("db", "", "database to snapshot: FASTA file path or synthetic:<n>")
@@ -140,9 +56,10 @@ func snapshotCmd(argv []string) {
 		version = fs.String("version", "", "operator version label stamped into the manifest (required to build; e.g. v2026-08-08)")
 		out     = fs.String("o", "", "write the snapshot to this path (required to build)")
 		inspect = fs.String("inspect", "", "print an existing snapshot's manifest (reads the header only)")
-		verify  = fs.String("verify", "", "fully open an existing snapshot with every section checksummed, and re-validate the index against the database")
+		verify  = fs.String("verify", "", "fully open an existing snapshot with every section checksummed, re-validate the index against the database, and print the index statistics")
+		top     = fs.Int("top", 5, "with -verify, list this many of the most frequent k-mers (0 = none)")
 	)
-	_ = fs.Parse(argv)
+	_ = fs.Parse(os.Args[2:])
 
 	switch {
 	case *inspect != "":
@@ -174,6 +91,7 @@ func snapshotCmd(argv []string) {
 		printManifest(snap.Manifest)
 		fmt.Printf("verified in %v: all section checksums match, index validates, db hash matches\n",
 			time.Since(start).Round(time.Millisecond))
+		printIndex(snap.Index, *top)
 		return
 	}
 
@@ -195,12 +113,10 @@ func snapshotCmd(argv []string) {
 		fatal(err)
 	}
 	if *shard != "" {
-		lo, hi, err := parseShardRange(*shard, db.NumSeqs())
-		if err != nil {
+		if db, err = bio.ShardDatabase(db, *shard); err != nil {
 			fatal(err)
 		}
-		db = bio.NewDatabase(db.Seqs[lo:hi])
-		fmt.Printf("snapshotting shard %d:%d (%d of the database's sequences)\n", lo, hi, db.NumSeqs())
+		fmt.Printf("snapshotting shard %s (%d of the database's sequences)\n", *shard, db.NumSeqs())
 	}
 	start := time.Now()
 	ix := index.Build(db, index.Options{K: *k, MaxPostings: *capFlag, Workers: *workers})
@@ -225,24 +141,6 @@ func snapshotCmd(argv []string) {
 		*out, info.Size(), buildTime.Round(time.Millisecond))
 }
 
-// parseShardRange parses -shard's lo:hi against the database size.
-func parseShardRange(spec string, n int) (lo, hi int, err error) {
-	loStr, hiStr, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard %q is not lo:hi", spec)
-	}
-	if lo, err = strconv.Atoi(loStr); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: bad lo: %v", spec, err)
-	}
-	if hi, err = strconv.Atoi(hiStr); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: bad hi: %v", spec, err)
-	}
-	if lo < 0 || hi <= lo || hi > n {
-		return 0, 0, fmt.Errorf("-shard %d:%d outside the database's [0, %d]", lo, hi, n)
-	}
-	return lo, hi, nil
-}
-
 func printManifest(m snapshot.Manifest) {
 	fmt.Printf("  version:        %s\n", m.Version)
 	fmt.Printf("  created:        %s", time.Unix(m.CreatedUnix, 0).UTC().Format(time.RFC3339))
@@ -258,27 +156,25 @@ func printManifest(m snapshot.Manifest) {
 	fmt.Printf("  index:          k=%d cap=%s, %d distinct k-mers, %d postings\n", m.K, capStr, m.DistinctKmers, m.Postings)
 }
 
-func inspectIndex(path string, topKmers int) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
+// printIndex prints the opened index's statistics and its topKmers
+// most frequent k-mers — the capped ones are the low-complexity seeds
+// the build dropped.
+func printIndex(ix *index.Index, topKmers int) {
+	st := ix.Stats()
+	fmt.Printf("seed index:\n")
+	fmt.Printf("  distinct k-mers: %d (of %d possible)\n", st.DistinctKmers, index.PossibleKmers(st.K))
+	fmt.Printf("  postings:       %d stored / %d raw, %d k-mers capped\n", st.Postings, st.RawPostings, st.CappedKmers)
+	fmt.Printf("  footprint:      %.1f MiB\n", float64(st.FootprintBytes)/(1<<20))
+	if topKmers <= 0 {
+		return
 	}
-	defer f.Close()
-	ix, err := index.ReadIndex(f)
-	if err != nil {
-		fatal(err)
-	}
-	printStats(ix.Stats())
-	if topKmers > 0 {
-		top := mostFrequent(ix, topKmers)
-		fmt.Printf("most frequent k-mers:\n")
-		for _, e := range top {
-			note := ""
-			if e.stored == 0 && e.raw > 0 {
-				note = "  (capped: postings dropped)"
-			}
-			fmt.Printf("  %-13s x%-6d stored %d%s\n", bio.Decode(index.UnpackKmer(e.key, ix.K())), e.raw, e.stored, note)
+	fmt.Printf("most frequent k-mers:\n")
+	for _, e := range mostFrequent(ix, topKmers) {
+		note := ""
+		if e.stored == 0 && e.raw > 0 {
+			note = "  (capped: postings dropped)"
 		}
+		fmt.Printf("  %-13s x%-6d stored %d%s\n", bio.Decode(index.UnpackKmer(e.key, st.K)), e.raw, e.stored, note)
 	}
 }
 
@@ -301,18 +197,6 @@ func mostFrequent(ix *index.Index, n int) []kmerFreq {
 		}
 	})
 	return top
-}
-
-func printStats(st index.Stats) {
-	capStr := strconv.Itoa(st.MaxPostings)
-	if st.MaxPostings < 0 {
-		capStr = "uncapped"
-	}
-	fmt.Printf("seed index: k=%d cap=%s\n", st.K, capStr)
-	fmt.Printf("  database:       %d sequences, %d residues\n", st.NumTargets, st.TotalResidues)
-	fmt.Printf("  distinct k-mers: %d (of %d possible)\n", st.DistinctKmers, index.PossibleKmers(st.K))
-	fmt.Printf("  postings:       %d stored / %d raw, %d k-mers capped\n", st.Postings, st.RawPostings, st.CappedKmers)
-	fmt.Printf("  footprint:      %.1f MiB\n", float64(st.FootprintBytes)/(1<<20))
 }
 
 func fatal(err error) {

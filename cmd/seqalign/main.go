@@ -7,8 +7,8 @@
 //
 //	seqalign -query P14942 -db synthetic:100 -method ssearch -best 10
 //	seqalign -query query.fasta -db swissprot.fasta -method blast -align
-//	seqalign -db synthetic:2000 -index db.seqidx -best 10     # seed-and-extend
-//	seqalign -db synthetic:2000 -index build -k 5             # index on the fly
+//	seqalign -db synthetic:2000 -index build -k 5             # seed-and-extend, index built on the fly
+//	seqalign -snapshot db.snap -best 10                       # seed-and-extend over an indexbuild snapshot
 package main
 
 import (
@@ -23,13 +23,14 @@ import (
 	"repro/internal/blast"
 	"repro/internal/fasta"
 	"repro/internal/index"
+	"repro/internal/snapshot"
 )
 
 func main() {
 	var (
 		queryArg = flag.String("query", "P14942", "query: FASTA file path or a Table II accession")
 		dbArg    = flag.String("db", "synthetic:100", "database: FASTA file path or synthetic:<n>")
-		dbSeed   = flag.Int64("seed", 20061001, "synthetic database generator seed (must match the one the index was built with)")
+		dbSeed   = flag.Int64("seed", 20061001, "synthetic database generator seed")
 		method   = flag.String("method", "ssearch",
 			strings.Join(align.KernelNames(), " | ")+" | blast | fasta")
 		matrix    = flag.String("s", "BL62", "substitution matrix (BL62, BL50)")
@@ -40,12 +41,19 @@ func main() {
 		related   = flag.Int("related", 0, "plant this many homologs in a synthetic database")
 		showAlign = flag.Bool("align", false, "print the top hit's alignment")
 
-		indexArg   = flag.String("index", "", "seed-and-extend: an indexbuild file, or 'build' to index the database in-process")
+		indexArg   = flag.String("index", "", "seed-and-extend: 'build' indexes -db in-process (a prebuilt index travels inside a snapshot: see -snapshot)")
 		kFlag      = flag.Int("k", index.DefaultK, "k-mer length when -index build")
+		snapArg    = flag.String("snapshot", "", "seed-and-extend over a SEQSNAP snapshot (indexbuild snapshot) instead of -db/-index: database and index both come from the one file")
 		maxCand    = flag.Int("max-candidates", 0, "candidates the seed filter passes to exact rescoring (0 = default; >= database size = exact scan)")
 		stageTimes = flag.Bool("stage-times", false, "print per-stage wall time (prepare/scan/rank) for the exact kernels")
 	)
 	flag.Parse()
+	if *indexArg != "" && *indexArg != "build" {
+		fatal(fmt.Errorf("-index %q: the only value is build; a prebuilt index travels inside a snapshot — write one with 'indexbuild snapshot -db ... -version ... -o x.snap' and search it with -snapshot x.snap", *indexArg))
+	}
+	if *indexArg != "" && *snapArg != "" {
+		fatal(fmt.Errorf("-index and -snapshot are alternatives: a snapshot already carries its index"))
+	}
 
 	m, err := bio.MatrixByName(*matrix)
 	if err != nil {
@@ -57,9 +65,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	db, err := bio.LoadDatabase(*dbArg, *dbSeed, *related, query)
-	if err != nil {
-		fatal(err)
+	var (
+		db *bio.Database
+		ix *index.Index
+	)
+	if *snapArg != "" {
+		snap, err := snapshot.Open(*snapArg, snapshot.OpenOptions{})
+		if err != nil {
+			fatal(fmt.Errorf("opening snapshot %s: %w", *snapArg, err))
+		}
+		defer snap.Close() // db and ix alias the mapping until main returns
+		db, ix = snap.DB, snap.Index
+	} else {
+		if db, err = bio.LoadDatabase(*dbArg, *dbSeed, *related, query); err != nil {
+			fatal(err)
+		}
+		if *indexArg == "build" {
+			if *kFlag < index.MinK || *kFlag > index.MaxK {
+				fatal(fmt.Errorf("-k %d outside [%d, %d]", *kFlag, index.MinK, index.MaxK))
+			}
+			ix = index.Build(db, index.Options{K: *kFlag})
+		}
 	}
 	fmt.Printf("query %s (%d aa) vs %d sequences (%d residues), method=%s matrix=%s gaps=%d/%d\n",
 		query.ID, query.Len(), db.NumSeqs(), db.TotalResidues(), *method, m.Name, *gapOpen, *gapExt)
@@ -73,8 +99,9 @@ func main() {
 	if kernel, kerr := align.KernelByName(*method); kerr == nil {
 		// Rigorous scans run through the parallel sharded search
 		// harness; results are identical for every worker count. With
-		// -index the same harness runs seed-and-extend: the filter
-		// proposes candidates, the selected kernel rescored them.
+		// an index (-index build, or a snapshot's) the same harness runs
+		// seed-and-extend: the filter proposes candidates, the selected
+		// kernel rescores them.
 		cfg := align.SearchConfig{
 			Kernel:  kernel,
 			Workers: *workers,
@@ -85,14 +112,10 @@ func main() {
 				fmt.Printf("stage %-7s %12v\n", stage, d)
 			}
 		}
-		if *indexArg != "" {
-			searcher, err := loadSearcher(*indexArg, *kFlag, db, params)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Filter = searcher
+		if ix != nil {
+			cfg.Filter = index.NewSearcher(ix, db, params, index.SearchOptions{})
 			cfg.MaxCandidates = *maxCand
-			st := searcher.Index().Stats()
+			st := ix.Stats()
 			fmt.Printf("seed index: k=%d, %d distinct k-mers, %d postings (%d capped), %.1f MiB\n",
 				st.K, st.DistinctKmers, st.Postings, st.CappedKmers, float64(st.FootprintBytes)/(1<<20))
 		}
@@ -101,11 +124,11 @@ func main() {
 			hits = append(hits, hit{seq: h.Seq, score: h.Score})
 		}
 	} else {
-		if *indexArg != "" {
+		if ix != nil {
 			// The heuristic methods run their own seeding; silently
-			// dropping -index would let the user attribute their
+			// dropping the index would let the user attribute their
 			// results to a pipeline that never ran.
-			fatal(fmt.Errorf("-index only applies to the exact kernels (%s), not -method %s",
+			fatal(fmt.Errorf("-index and -snapshot only apply to the exact kernels (%s), not -method %s",
 				strings.Join(align.KernelNames(), ", "), *method))
 		}
 		switch *method {
@@ -156,34 +179,6 @@ func main() {
 			al.AStart+1, al.AEnd, al.BStart+1, al.BEnd, 100*al.Identity,
 			al.Format(query.Residues, hits[0].seq.Residues))
 	}
-}
-
-// loadSearcher resolves -index: "build" constructs a fresh index over
-// db in-process; anything else is an indexbuild file, whose database
-// fingerprint must match db (NewSearcher enforces it — searching the
-// wrong database would return silently wrong candidates).
-func loadSearcher(arg string, k int, db *bio.Database, params align.Params) (*index.Searcher, error) {
-	var ix *index.Index
-	if arg == "build" {
-		if k < index.MinK || k > index.MaxK {
-			return nil, fmt.Errorf("-k %d outside [%d, %d]", k, index.MinK, index.MaxK)
-		}
-		ix = index.Build(db, index.Options{K: k})
-	} else {
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, fmt.Errorf("loading index: %w", err)
-		}
-		defer f.Close()
-		ix, err = index.ReadIndex(f)
-		if err != nil {
-			return nil, fmt.Errorf("loading index %s: %w", arg, err)
-		}
-		if err := ix.Validate(db); err != nil {
-			return nil, fmt.Errorf("index %s: %w (rebuild it for this database, or pass the same -db/-seed/-related to indexbuild and seqalign)", arg, err)
-		}
-	}
-	return index.NewSearcher(ix, db, params, index.SearchOptions{}), nil
 }
 
 func loadQuery(arg string) (*bio.Sequence, error) {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	seqserve -db synthetic:1000 -related 20 -addr :8044
-//	seqserve -db swissprot.fasta -index sp.seqidx -workers 8
+//	seqserve -db swissprot.fasta -index none -workers 8   # exhaustive scans only
 //	seqserve -snapshot sp.snap                      # fast boot: mmap db+index in one file
 //	curl -s localhost:8044/healthz
 //	curl -s -d '{"query":"MTDKL...","k":5}' localhost:8044/search
@@ -31,8 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -53,7 +51,7 @@ func main() {
 		parent  = flag.String("parent", "P14942", "Table II accession the planted homologs derive from")
 
 		indexArg = flag.String("index", "build",
-			"seed index: an indexbuild file, 'build' to index in-process at startup, or 'none' for exhaustive-only")
+			"seed index: 'build' to index -db in-process at startup, or 'none' for exhaustive-only (a prebuilt index travels inside a snapshot: see -snapshot)")
 		kFlag = flag.Int("k", index.DefaultK, "k-mer length when -index build")
 
 		snapArg = flag.String("snapshot", "",
@@ -94,6 +92,9 @@ func main() {
 			"emit one structured (slog) line per completed request, tagged with its trace id")
 	)
 	flag.Parse()
+	if *indexArg != "build" && *indexArg != "none" {
+		fatal(fmt.Errorf("-index %q: valid values are build, none; a prebuilt index travels inside a snapshot — write one with 'indexbuild snapshot -db ... -version ... -o x.snap' and boot with -snapshot x.snap", *indexArg))
+	}
 
 	// Bind the serving address BEFORE the (possibly long) database load
 	// and index build, behind a swappable holding handler that answers
@@ -162,22 +163,18 @@ func main() {
 		}
 
 		// -shard slices the loaded database to a contiguous target range;
-		// the index (built or loaded) then covers exactly the slice. The
+		// the index built below then covers exactly the slice. The
 		// full database is still loaded first so every shard's slice comes
 		// from the identical global ordering — that identity is what lets a
 		// seqrouter remap shard-local hit indexes by adding lo.
 		if *shardArg != "" {
-			lo, hi, perr := parseShardRange(*shardArg, db.NumSeqs())
-			if perr != nil {
-				fatal(perr)
+			if db, err = bio.ShardDatabase(db, *shardArg); err != nil {
+				fatal(err)
 			}
-			db = bio.NewDatabase(db.Seqs[lo:hi])
-			fmt.Printf("seqserve: serving shard %d:%d (%d of the database's sequences)\n", lo, hi, db.NumSeqs())
+			fmt.Printf("seqserve: serving shard %s (%d of the database's sequences)\n", *shardArg, db.NumSeqs())
 		}
 
-		switch *indexArg {
-		case "none":
-		case "build":
+		if *indexArg == "build" {
 			if *kFlag < index.MinK || *kFlag > index.MaxK {
 				fatal(fmt.Errorf("-k %d outside [%d, %d]", *kFlag, index.MinK, index.MaxK))
 			}
@@ -186,17 +183,6 @@ func main() {
 			fmt.Printf("built seed index in %v (k=%d, %.1f MiB)\n",
 				time.Since(start).Round(time.Millisecond), ix.K(),
 				float64(ix.Stats().FootprintBytes)/(1<<20))
-		default:
-			f, err := os.Open(*indexArg)
-			if err != nil {
-				fatal(err)
-			}
-			ix, err = index.ReadIndex(f)
-			f.Close()
-			if err != nil {
-				fatal(fmt.Errorf("loading index %s: %w", *indexArg, err))
-			}
-			// server.New validates the index fingerprint against db.
 		}
 	}
 
@@ -238,9 +224,6 @@ func main() {
 		AccessLog:          accessLog,
 	})
 	if err != nil {
-		if ix != nil && *indexArg != "build" && *snapArg == "" {
-			err = fmt.Errorf("%w (rebuild %s for this database, or pass the same -db/-seed/-related here and to indexbuild)", err, *indexArg)
-		}
 		fatal(err)
 	}
 	if snap != nil {
@@ -389,25 +372,6 @@ waitLoop:
 		fmt.Printf("seqserve: resilience: %d shed, %d timed out, %d abandoned, %d panics isolated, degraded=%v\n",
 			stats.ShedTotal, stats.TimeoutTotal, stats.AbandonedTotal, stats.PanicTotal, stats.Degraded)
 	}
-}
-
-// parseShardRange parses -shard's lo:hi against the loaded database
-// size: 0 <= lo < hi <= n.
-func parseShardRange(spec string, n int) (lo, hi int, err error) {
-	loStr, hiStr, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard %q is not lo:hi", spec)
-	}
-	if lo, err = strconv.Atoi(loStr); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: bad lo: %v", spec, err)
-	}
-	if hi, err = strconv.Atoi(hiStr); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: bad hi: %v", spec, err)
-	}
-	if lo < 0 || hi <= lo || hi > n {
-		return 0, 0, fmt.Errorf("-shard %d:%d outside the database's [0, %d]", lo, hi, n)
-	}
-	return lo, hi, nil
 }
 
 func fatal(err error) {

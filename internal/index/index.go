@@ -10,8 +10,9 @@
 // into hash lookups plus a few extensions.
 //
 // The index is deterministic end to end: building with any worker
-// count yields byte-identical serialized form (entries are stored in
-// canonical key order, posting lists in database order), and searches
+// count yields the identical arrays, slice for slice (entries are
+// stored in canonical key order, posting lists in database order), so
+// a snapshot of it (internal/snapshot) is reproducible, and searches
 // driven through align.SearchDB return bit-identical top-K hit lists
 // at every worker count.
 package index
@@ -63,8 +64,8 @@ type Options struct {
 	// disables capping.
 	MaxPostings int
 	// Workers parallelizes the build across contiguous database
-	// shards; <= 0 means GOMAXPROCS. The result is identical — byte
-	// for byte once serialized — for every worker count.
+	// shards; <= 0 means GOMAXPROCS. The result is identical — slice
+	// for slice — for every worker count.
 	Workers int
 }
 
@@ -158,7 +159,7 @@ func PossibleKmers(k int) uint64 { return maxKey(k) }
 //
 // Shards cover contiguous ascending target ranges and each shard
 // fills a precomputed contiguous slice of every posting list, so the
-// index — including its serialized bytes — does not depend on
+// index — every array Raw exposes — does not depend on
 // Options.Workers.
 func Build(db *bio.Database, opts Options) *Index {
 	o := opts.normalized()
@@ -385,8 +386,6 @@ func (ix *Index) Validate(db *bio.Database) error {
 type Stats struct {
 	K              int
 	MaxPostings    int // cap in force; < 0 means uncapped
-	NumTargets     int
-	TotalResidues  int
 	DistinctKmers  int
 	Postings       int   // stored (post-cap) postings
 	RawPostings    int64 // pre-cap k-mer occurrences
@@ -399,8 +398,6 @@ func (ix *Index) Stats() Stats {
 	st := Stats{
 		K:             ix.k,
 		MaxPostings:   ix.maxPostings,
-		NumTargets:    ix.numTargets,
-		TotalResidues: ix.totalRes,
 		DistinctKmers: len(ix.keys),
 		Postings:      len(ix.postings),
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bio"
@@ -98,22 +99,24 @@ func TestLookupMatchesNaive(t *testing.T) {
 	}
 }
 
-// Building with any worker count must serialize to identical bytes:
-// the two-pass counting build's sharded fill is required to reproduce
-// the single-shard canonical layout exactly, slot for slot.
+// Building with any worker count must yield the identical index,
+// slice for slice: the two-pass counting build's sharded fill is
+// required to reproduce the single-shard canonical layout exactly,
+// slot for slot. Raw() is what a snapshot serializes, so equal slices
+// are equal artifacts.
 func TestBuildWorkerInvariance(t *testing.T) {
 	db := testDB(t, 50, 23)
-	var ref bytes.Buffer
-	if err := WriteIndex(&ref, Build(db, Options{Workers: 1})); err != nil {
-		t.Fatal(err)
-	}
+	ref := Build(db, Options{Workers: 1}).Raw()
 	for _, workers := range []int{2, 3, 4, 5, 7, 8, 16, 50} {
-		var got bytes.Buffer
-		if err := WriteIndex(&got, Build(db, Options{Workers: workers})); err != nil {
-			t.Fatal(err)
+		got := Build(db, Options{Workers: workers}).Raw()
+		if got.K != ref.K || got.MaxPostings != ref.MaxPostings ||
+			got.NumTargets != ref.NumTargets || got.TotalRes != ref.TotalRes {
+			t.Fatalf("workers=%d: geometry differs from workers=1", workers)
 		}
-		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
-			t.Fatalf("workers=%d: serialized index differs from workers=1", workers)
+		if !slices.Equal(got.Keys, ref.Keys) || !slices.Equal(got.RawCount, ref.RawCount) ||
+			!slices.Equal(got.Offs, ref.Offs) || !slices.Equal(got.Postings, ref.Postings) ||
+			!slices.Equal(got.Table, ref.Table) {
+			t.Fatalf("workers=%d: index arrays differ from workers=1", workers)
 		}
 	}
 }
@@ -158,4 +161,40 @@ func TestValidateFingerprint(t *testing.T) {
 	if err := ix.Validate(other); err == nil {
 		t.Fatal("index accepted a different database")
 	}
+}
+
+// FuzzPackKmer asserts the packing properties on arbitrary residue
+// windows: accepted windows round-trip through UnpackKmer exactly and
+// pack below maxKey; windows touching non-standard residues are
+// rejected.
+func FuzzPackKmer(f *testing.F) {
+	f.Add([]byte("ARNDCQEGHILKMFPSTWYV"), 0, 5)
+	f.Add([]byte("AAAAAAAAAAAAA"), 0, 13)
+	f.Add([]byte("ARXDC"), 0, 5)
+	f.Add([]byte{}, 0, 2)
+	f.Fuzz(func(t *testing.T, ascii []byte, pos, k int) {
+		seq := bio.Encode(string(ascii))
+		key, ok := PackKmer(seq, pos, k)
+		clean := pos >= 0 && k >= MinK && k <= MaxK && pos <= len(seq)-k
+		if clean {
+			for i := pos; i < pos+k; i++ {
+				if seq[i] >= bio.NumStandard {
+					clean = false
+					break
+				}
+			}
+		}
+		if ok != clean {
+			t.Fatalf("PackKmer(%v, %d, %d) ok=%v, want %v", seq, pos, k, ok, clean)
+		}
+		if !ok {
+			return
+		}
+		if key >= maxKey(k) {
+			t.Fatalf("key %d >= maxKey(%d)=%d", key, k, maxKey(k))
+		}
+		if got := UnpackKmer(key, k); !bytes.Equal(got, seq[pos:pos+k]) {
+			t.Fatalf("unpack(pack) = %v, want %v", got, seq[pos:pos+k])
+		}
+	})
 }

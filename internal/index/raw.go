@@ -1,6 +1,21 @@
 package index
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// Sentinel errors FromRaw reports, so the container handing it slices
+// can tell absurd geometry from internally inconsistent arrays.
+var (
+	ErrImplausible = errors.New("index: implausible seed-index geometry")
+	ErrCorrupt     = errors.New("index: corrupt seed-index arrays")
+)
+
+// maxIndexEntries bounds the entry count: the probe table encodes
+// entry indexes as int32, and 2^31 distinct k-mers exceeds the whole
+// k<=7 key space, so anything above it is corruption, not an index.
+const maxIndexEntries = 1<<31 - 1
 
 // Raw is the index's complete structural state with the field layout
 // exposed, the bridge internal/snapshot serializes through: a snapshot
@@ -40,10 +55,10 @@ func (ix *Index) Raw() Raw {
 // FromRaw reassembles an Index around r's slices without copying them.
 // It re-checks the cheap structural invariants (geometry, canonical
 // key order, CSR monotonicity, probe-table shape) so a corrupt
-// container surfaces ErrCorrupt here instead of a garbage index; the
-// per-posting range checks ReadIndex performs are the container's job
-// (snapshot sections carry checksums), because touching every posting
-// page on load would defeat the mmap page-cache win. A nil or
+// container surfaces ErrCorrupt here instead of a garbage index;
+// per-posting range checks are the container's job (snapshot sections
+// carry checksums), because touching every posting page on load would
+// defeat the mmap page-cache win. A nil or
 // wrong-shape Table is rebuilt from the canonical entry order.
 func FromRaw(r Raw) (*Index, error) {
 	if r.K < MinK || r.K > MaxK {

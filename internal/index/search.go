@@ -256,9 +256,6 @@ func (s *Searcher) CandidatesChecked(query []uint8, max int) (out []int, err err
 	return out, nil
 }
 
-// Index returns the seed index the Searcher draws candidates from.
-func (s *Searcher) Index() *Index { return s.ix }
-
 // Search runs the full seed-and-extend pipeline and exact top-K
 // rescoring in one call: a convenience wrapper that plugs the
 // Searcher into align.SearchDB as its candidate filter.

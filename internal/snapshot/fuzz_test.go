@@ -12,7 +12,8 @@ import (
 // bytes, the answer must be a sentinel error or a well-formed
 // Snapshot — never a panic. The seed corpus covers the interesting
 // prefixes: a valid container, truncations at every structural
-// boundary, bad magic, and a wrong version.
+// boundary, bad magic, a wrong version, and a checksum-clean container
+// whose index arrays break the canonical key order.
 func FuzzReadSnapshot(f *testing.F) {
 	db := testDB(f, 12)
 	ix := index.Build(db, index.Options{})
@@ -39,6 +40,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	badVer := append([]byte(nil), valid...)
 	badVer[9] = '9'
 	f.Add(badVer)
+	f.Add(swapIdxKeys(f, append([]byte(nil), valid...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// openBytes is Open minus the mmap plumbing — fuzzing it

@@ -19,10 +19,10 @@
 // layer stamps into /statsz, /metrics, and response envelopes as
 // snapshot_version.
 //
-// The failure taxonomy mirrors internal/index's SEQIDX/01 sentinels:
-// garbage (ErrBadMagic), old formats (ErrBadVersion), short files
-// (ErrTruncated), absurd headers (ErrImplausible), internal
-// inconsistencies (ErrCorrupt), and checksum mismatches (ErrChecksum).
+// The failure taxonomy tells apart garbage (ErrBadMagic), old formats
+// (ErrBadVersion), short files (ErrTruncated), absurd headers
+// (ErrImplausible), internal inconsistencies (ErrCorrupt), and
+// checksum mismatches (ErrChecksum).
 //
 // Bulk sections are stored in native byte order — the zero-copy cast
 // is the point — so a container is not portable across endianness;
@@ -78,8 +78,7 @@ const (
 	secIdxTable = "idxtable" // []int32 probe table, zero-copy (optional)
 )
 
-// Sentinel errors for the container's failure modes, the SEQIDX/01
-// taxonomy extended with checksum mismatches.
+// Sentinel errors for the container's failure modes.
 var (
 	ErrBadMagic    = errors.New("snapshot: not a SEQSNAP file (bad magic)")
 	ErrBadVersion  = errors.New("snapshot: unsupported SEQSNAP version")
@@ -544,8 +543,8 @@ func decodeSeqMeta(meta, residues []byte) (*bio.Database, error) {
 	return bio.NewDatabase(seqs), nil
 }
 
-// idxmeta geometry record: the SEQIDX header fields plus the stored
-// probe-table length.
+// idxmeta geometry record: index.Raw's scalar fields and the length of
+// each array section (entries, postings, probe table).
 const idxMetaSize = 48
 
 func encodeIdxMeta(r index.Raw) []byte {

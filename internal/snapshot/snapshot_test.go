@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -100,6 +101,41 @@ func TestWriteRefusesMismatchedPair(t *testing.T) {
 	}
 }
 
+// findSection returns the named section of container b and its index
+// in the section table.
+func findSection(t testing.TB, b []byte, name string) (int, section) {
+	t.Helper()
+	toc, _, err := parseHeader(b, uint64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sec := range toc {
+		if sec.name == name {
+			return i, sec
+		}
+	}
+	t.Fatalf("no %s section", name)
+	return 0, section{}
+}
+
+// swapIdxKeys breaks the index's canonical key order by exchanging the
+// first two keys, and re-stamps the section checksum so the mutant gets
+// past every checksum sweep: only the structural re-check can stop it.
+func swapIdxKeys(t testing.TB, b []byte) []byte {
+	t.Helper()
+	i, sec := findSection(t, b, secIdxKeys)
+	keys := b[sec.offset : sec.offset+sec.length]
+	if len(keys) < 16 {
+		t.Fatalf("idxkeys holds %d bytes, need two keys", len(keys))
+	}
+	var first [8]byte
+	copy(first[:], keys[:8])
+	copy(keys[:8], keys[8:16])
+	copy(keys[8:16], first[:])
+	binary.LittleEndian.PutUint64(b[headerSize+i*sectionRecSize+32:], checksum(keys))
+	return b
+}
+
 func TestOpenFailureTaxonomy(t *testing.T) {
 	path, _, _ := writeTestSnapshot(t, 40, "v1")
 	good, err := os.ReadFile(path)
@@ -150,22 +186,19 @@ func TestOpenFailureTaxonomy(t *testing.T) {
 		}
 	})
 	t.Run("bulk bitflip caught under Verify", func(t *testing.T) {
-		toc, _, err := parseHeader(good, uint64(len(good)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resOff uint64
-		for _, sec := range toc {
-			if sec.name == secResidues {
-				resOff = sec.offset
-			}
-		}
-		if resOff == 0 {
-			t.Fatal("no residues section")
-		}
-		err = openMutant(t, func(b []byte) []byte { b[resOff] ^= 0x01; return b }, true)
+		_, res := findSection(t, good, secResidues)
+		err := openMutant(t, func(b []byte) []byte { b[res.offset] ^= 0x01; return b }, true)
 		if !errors.Is(err, ErrChecksum) {
 			t.Fatalf("Verify missed a bulk bit flip: %v", err)
+		}
+	})
+	// Every prebuilt index reaches serving through this path: with the
+	// checksums satisfied, index.FromRaw's structural re-check is what
+	// stands between reordered keys and a served index.
+	t.Run("index keys out of canonical order", func(t *testing.T) {
+		err := openMutant(t, func(b []byte) []byte { return swapIdxKeys(t, b) }, false)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("want ErrCorrupt, got %v", err)
 		}
 	})
 }
