@@ -195,6 +195,18 @@ func BenchmarkKernelSSEARCH(b *testing.B) {
 	reportCellRate(b, cells)
 }
 
+func BenchmarkKernelGotoh(b *testing.B) {
+	prof, subject, _ := kernelInput()
+	cells := float64(len(prof.Query) * len(subject))
+	scr := align.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scr.GotohScore(prof, subject)
+	}
+	reportCellRate(b, cells)
+}
+
 func BenchmarkKernelVMX128(b *testing.B) {
 	prof, subject, _ := kernelInput()
 	cells := float64(len(prof.Query) * len(subject))

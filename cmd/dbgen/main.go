@@ -11,7 +11,7 @@
 // Generation is deterministic in -seed: equal flags produce
 // byte-identical FASTA on every machine, which is what makes
 // indexed-vs-exact comparisons (seqalign -index vs a plain scan, or
-// benchsnap's recall measurement) reproducible anywhere. The default
+// the benchmark's recall_at_10) reproducible anywhere. The default
 // seed is 20061001 — the paper's IISWC 2006 date — and is shared by
 // every tool that generates synthetic databases (seqalign, indexbuild,
 // the experiment harness), so their synthetic:<n> databases all agree.

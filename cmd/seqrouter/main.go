@@ -17,7 +17,7 @@
 //
 // The endpoint surface matches seqserve (plus GET /shardmap to read
 // the serving map and PUT /shardmap to rebalance it live, without
-// dropping in-flight fan-outs), so seqclient and the load harness
+// dropping in-flight fan-outs), so seqclient and the bench/ client
 // point at a router unchanged.
 // DESIGN.md's "Sharded serving & failure handling" section documents
 // the architecture.

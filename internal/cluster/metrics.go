@@ -63,8 +63,6 @@ func (c *Coordinator) initMetrics() {
 		m.up.With(b.addr).Set(-1)
 	}
 
-	reg.RegisterGaugeFunc("router_inflight", "Alias of router_in_flight: this gauge's name before seqserve and seqrouter shared one front-end.",
-		func() float64 { _, _, n := c.fe.Counts(); return float64(n) })
 	reg.RegisterCounter("router_partial_total", "200 responses that degraded to complete:false.", m.partials)
 	reg.RegisterCounter("router_map_updates_total", "Live shard map swaps accepted via PUT /shardmap.", m.mapUpdates)
 	reg.RegisterCounter("router_version_skew_total", "Responses that fenced shards answering a different snapshot_version.", m.skewed)

@@ -27,9 +27,7 @@ const (
 	NumBuckets = subCount + (maxMajor-minMajor)*subCount + 1
 )
 
-// BucketIndex maps a microsecond value to its bucket. Exported so the
-// load harness can ask "are these two latencies within one sub-bucket
-// of each other" in the histogram's own terms.
+// BucketIndex maps a microsecond value to its bucket.
 func BucketIndex(us int64) int {
 	if us < 0 {
 		us = 0

@@ -86,37 +86,6 @@ func TestRegistryRenderParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileFromScrape(t *testing.T) {
-	// The load harness's validation path: quantiles reconstructed from
-	// scraped buckets must land in the same sub-bucket as quantiles
-	// computed from the live histogram.
-	r := NewRegistry()
-	h := NewHistogram()
-	r.RegisterHistogram("test_latency_us", "Latency.", h)
-	for v := int64(0); v < 5000; v += 3 {
-		h.ObserveUs(v)
-	}
-	var buf strings.Builder
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e, err := ParseExposition(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := h.Snapshot()
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		scraped, err := e.HistogramQuantile("test_latency_us", q)
-		if err != nil {
-			t.Fatalf("q=%v: %v", q, err)
-		}
-		live := snap.Quantile(q)
-		if d := BucketIndex(scraped) - BucketIndex(live); d < -1 || d > 1 {
-			t.Errorf("q=%v: scraped %d and live %d more than one sub-bucket apart", q, scraped, live)
-		}
-	}
-}
-
 func TestRegistryHandler(t *testing.T) {
 	r, c, _, _, _ := testRegistry()
 	c.Add(1)

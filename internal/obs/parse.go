@@ -4,17 +4,15 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// A minimal Prometheus text-exposition (version 0.0.4) parser. Two
-// consumers: the exposition-lint test (every line a scraper would see
-// must parse) and the load harness, which validates its client-side
-// quantiles against the server's own /metrics histogram — a validation
-// that would be circular if it went through the same render path, so
-// the parser is written strictly from the wire format.
+// A minimal Prometheus text-exposition (version 0.0.4) parser. Its
+// consumer is the /metrics lint in the server's tests: every line a
+// scraper would see must parse, and the values read back must match
+// what the server counted. A check through the same render path would
+// be circular, so the parser is written strictly from the wire format.
 
 // Sample is one parsed sample line.
 type Sample struct {
@@ -67,79 +65,6 @@ sample:
 		return 0, fmt.Errorf("obs: %d samples match %s %v, want exactly 1", len(found), name, labelPairs)
 	}
 	return found[0].Value, nil
-}
-
-// HistogramQuantile reconstructs the q-quantile from a scraped
-// histogram's _bucket samples (optionally restricted by label pairs),
-// using the same interpolation rule as HistSnapshot.Quantile so a
-// client-side value and a scraped value can be compared bucket-for-
-// bucket. The le="+Inf" bucket is resolved against baseName_sum's
-// observed mean when it holds the target (no finite upper bound
-// exists on the wire); in practice the serving histograms top out far
-// below +Inf.
-func (e *Exposition) HistogramQuantile(baseName string, q float64, labelPairs ...string) (int64, error) {
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bucket
-sample:
-	for _, s := range e.Find(baseName + "_bucket") {
-		for i := 0; i+1 < len(labelPairs); i += 2 {
-			if s.Labels[labelPairs[i]] != labelPairs[i+1] {
-				continue sample
-			}
-		}
-		leStr := s.Labels["le"]
-		le := 0.0
-		if leStr == "+Inf" {
-			le = float64(int64(1) << 62)
-		} else {
-			var err error
-			le, err = strconv.ParseFloat(leStr, 64)
-			if err != nil {
-				return 0, fmt.Errorf("obs: bad le %q on %s", leStr, baseName)
-			}
-		}
-		buckets = append(buckets, bucket{le: le, cum: s.Value})
-	}
-	if len(buckets) == 0 {
-		return 0, fmt.Errorf("obs: no %s_bucket samples match %v", baseName, labelPairs)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0, nil
-	}
-	switch {
-	case q < 0:
-		q = 0
-	case q > 1:
-		q = 1
-	}
-	target := q * total
-	var prevCum float64
-	var prevLe float64
-	for _, b := range buckets {
-		if b.cum >= target && b.cum > prevCum {
-			lo, hi := prevLe, b.le
-			// The exposition elides empty buckets, so the previous
-			// rendered le can sit far below this bucket's true lower
-			// edge — interpolating from there would undershoot (a
-			// histogram whose every observation is ~2ms would report a
-			// ~1ms median). Recover the edge from the shared bucket
-			// geometry, exactly what HistSnapshot.Quantile interpolates
-			// from.
-			if gridLo, _ := BucketBounds(BucketIndex(int64(b.le) - 1)); float64(gridLo) > lo {
-				lo = float64(gridLo)
-			}
-			frac := (target - prevCum) / (b.cum - prevCum)
-			return int64(lo + frac*(hi-lo) + 0.5), nil
-		}
-		prevCum = b.cum
-		prevLe = b.le
-	}
-	return int64(buckets[len(buckets)-1].le), nil
 }
 
 // ParseExposition parses Prometheus text exposition format. It is

@@ -141,7 +141,8 @@ func putJob(j *job) {
 // an indexed one a bounded candidate set (max_candidates, default 64)
 // — two orders of magnitude fewer cells, so indexed jobs cost one flat
 // unit. Exhaustive jobs cost per KERNEL, scaled from the measured
-// per-cell rates (BENCH_4 Mcells/s, swar 666 = the baseline 8): a
+// per-cell rates (Mcells/s of `go test -bench BenchmarkKernel .` in the
+// root package when the weights were set, swar 666 = the baseline 8): a
 // flood of cheap exhaustive SWAR scans fills the gate at 8 units each,
 // while a flood of emulated-SIMD scans — ~11x more CPU per cell —
 // fills it at up to 92, so neither can starve cheap indexed queries

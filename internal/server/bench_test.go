@@ -12,8 +12,7 @@ import (
 )
 
 // benchServer builds the standard benchmark service: the 1000-sequence
-// homolog-planted database behind an in-process seed index, the same
-// setting BENCH_5.json's server rows measure.
+// homolog-planted database behind an in-process seed index.
 func benchServer(b *testing.B, cfg Config) *Server {
 	b.Helper()
 	spec := bio.DefaultDBSpec(1000)
@@ -35,9 +34,9 @@ func benchServer(b *testing.B, cfg Config) *Server {
 //	uncached: cache disabled, every request runs the indexed scan
 //	cached:   cache enabled, steady-state LRU hits
 //
-// The cached/uncached ratio is the service's cache leverage;
-// benchsnap records both as server_qps and cache_hit_qps and CI gates
-// on the ratio.
+// The cached/uncached ratio is the service's cache leverage; the
+// benchmark's ladder records the same pair as server.pipeline_indexed_us
+// and server.pipeline_hit_us, and CI gates on their ratio.
 func BenchmarkServerThroughput(b *testing.B) {
 	body, err := json.Marshal(SearchRequest{Query: bio.GlutathioneQuery().String(), K: 10})
 	if err != nil {

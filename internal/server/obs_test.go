@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -313,5 +314,49 @@ func TestMetricsExpositionUnderLoad(t *testing.T) {
 	}
 	if n, err := exp2.Value("seqserve_request_latency_us_count"); err != nil || n != 25 {
 		t.Errorf("request_latency_us_count = %v (%v), want 25", n, err)
+	}
+}
+
+// TestMetricsLatencyNestsInClientTime pins the client/server agreement
+// of the request-latency histogram over real HTTP: every request is
+// counted once, and since the handler's observation window (validation
+// to response ready) lies inside the client's send-to-last-byte window
+// and the histogram sums exact truncated µs, the server's sum can never
+// exceed the client's summed round trips.
+func TestMetricsLatencyNestsInClientTime(t *testing.T) {
+	const n = 16
+	s := newTestServer(t, testDB(t, 120), Config{Workers: 2, CacheEntries: 0})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(SearchRequest{Query: queryString(), K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var client time.Duration
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		client += time.Since(start)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %d: status %d, read error %v", i, resp.StatusCode, err)
+		}
+	}
+
+	exp := scrape(t, s)
+	if count, err := exp.Value("seqserve_request_latency_us_count"); err != nil || count != n {
+		t.Fatalf("request_latency_us_count = %v (%v), want %d", count, err, n)
+	}
+	sum, err := exp.Value("seqserve_request_latency_us_sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientUs := float64(client.Nanoseconds()) / 1e3
+	if sum <= 0 || sum > clientUs {
+		t.Errorf("request_latency_us_sum = %v, want in (0, %.1f] (the client's summed µs)", sum, clientUs)
 	}
 }
