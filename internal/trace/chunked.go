@@ -1,12 +1,41 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
 
 	"repro/internal/isa"
 )
+
+// recordSize is the byte length of one spilled instruction: PC, Addr
+// and Meta little-endian, the three register bytes, three zero pad
+// bytes. The spill file is n such records with no header.
+const recordSize = 16
+
+// encodeRecord packs one instruction into its 16-byte spill form.
+func encodeRecord(rec *[recordSize]byte, in *isa.Inst) {
+	binary.LittleEndian.PutUint32(rec[0:], in.PC)
+	binary.LittleEndian.PutUint32(rec[4:], in.Addr)
+	binary.LittleEndian.PutUint16(rec[8:], in.Meta)
+	rec[10] = byte(in.Dst)
+	rec[11] = byte(in.Src1)
+	rec[12] = byte(in.Src2)
+	rec[13], rec[14], rec[15] = 0, 0, 0
+}
+
+// decodeRecord unpacks one 16-byte spill record.
+func decodeRecord(rec *[recordSize]byte) isa.Inst {
+	return isa.Inst{
+		PC:   binary.LittleEndian.Uint32(rec[0:]),
+		Addr: binary.LittleEndian.Uint32(rec[4:]),
+		Meta: binary.LittleEndian.Uint16(rec[8:]),
+		Dst:  isa.Reg(rec[10]),
+		Src1: isa.Reg(rec[11]),
+		Src2: isa.Reg(rec[12]),
+	}
+}
 
 // DefaultChunkSize is the instruction count per chunk: 64Ki records of
 // 16 bytes keep a chunk at 1 MiB — large enough that cursor overhead

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,7 +13,7 @@ import (
 )
 
 // randomInsts builds instructions with randomized PC/Addr/Meta/register
-// fields (every bit the wire format must carry), deterministic per seed.
+// fields (every bit the spill record must carry), deterministic per seed.
 func randomInsts(n int, seed int64) []isa.Inst {
 	rng := rand.New(rand.NewSource(seed))
 	insts := make([]isa.Inst, n)
@@ -32,189 +30,117 @@ func randomInsts(n int, seed int64) []isa.Inst {
 	return insts
 }
 
-func TestTraceRoundTripProperty(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		n := int(seed * 137)
-		insts := randomInsts(n, seed)
-		var buf bytes.Buffer
-		if err := WriteTrace(&buf, insts); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(back) != n {
-			t.Fatalf("seed %d: %d insts back, want %d", seed, len(back), n)
-		}
-		for i := range insts {
-			if back[i] != insts[i] {
-				t.Fatalf("seed %d inst %d: %v != %v", seed, i, back[i], insts[i])
-			}
-		}
+// sampleTrace is an emitter-built trace: loads, stores, vector ops and
+// taken and not-taken branches, as a workload would capture them.
+func sampleTrace(t *testing.T) []isa.Inst {
+	t.Helper()
+	var rec Recorder
+	e := NewEmitter(&rec)
+	blk := e.Block("b", 6)
+	other := e.Block("o", 1)
+	for i := 0; i < 100; i++ {
+		e.Begin(blk)
+		e.Fix(isa.GPR(1), isa.GPR(2), isa.GPR(3))
+		e.Load(isa.GPR(4), isa.GPR(1), uint32(0x1000_0000+i*64), 8)
+		e.Store(isa.GPR(4), isa.GPR(1), uint32(0x2000_0000+i*4), 4)
+		e.VLoad(isa.VPR(1), isa.GPR(4), uint32(0x3000_0000+i*16), 16)
+		e.VPerm(isa.VPR(2), isa.VPR(1), isa.VPR(2))
+		e.CondBranch(isa.GPR(4), i%3 == 0, other)
 	}
+	return rec.Insts
 }
 
-func TestReadTraceTruncationError(t *testing.T) {
-	insts := randomInsts(100, 3)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, insts); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Cut mid-way through the records (and mid-record).
-	for _, cut := range []int{headerSize, headerSize + 5*recordSize, headerSize + 5*recordSize + 7} {
-		_, err := ReadTrace(bytes.NewReader(full[:cut]))
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("cut at %d: got %v, want ErrTruncated", cut, err)
-		}
-	}
-	// A header shorter than 16 bytes is also truncation, not bad magic.
-	if _, err := ReadTrace(bytes.NewReader(full[:10])); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short header: got %v, want ErrTruncated", err)
-	}
-}
-
-func TestReadTraceVersionVsMagic(t *testing.T) {
-	insts := randomInsts(4, 9)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, insts); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	wrongVersion := append([]byte(nil), good...)
-	wrongVersion[6], wrongVersion[7] = '9', '9'
-	if _, err := ReadTrace(bytes.NewReader(wrongVersion)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("version mismatch: got %v, want ErrBadVersion", err)
-	}
-
-	wrongMagic := append([]byte(nil), good...)
-	wrongMagic[0] = 'X'
-	if _, err := ReadTrace(bytes.NewReader(wrongMagic)); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic: got %v, want ErrBadMagic", err)
-	}
-}
-
-func TestFileWriterStreamsAndBackpatches(t *testing.T) {
-	insts := randomInsts(10_000, 5)
-	path := filepath.Join(t.TempDir(), "w.trc")
-	f, err := os.Create(path)
+// spillOf emits insts into a sealed spilled trace that the test's
+// cleanup closes.
+func spillOf(t *testing.T, insts []isa.Inst) *ChunkedTrace {
+	t.Helper()
+	ct, err := NewChunkedSpill(filepath.Join(t.TempDir(), "spill.trc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewFileWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { ct.Close() })
 	for _, in := range insts {
-		w.Emit(in)
+		ct.Emit(in)
 	}
-	if err := w.Close(); err != nil {
+	if err := ct.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	return ct
+}
+
+// spillBytes is the size of ct's spill file on disk.
+func spillBytes(t *testing.T, ct *ChunkedTrace) int64 {
+	t.Helper()
+	fi, err := os.Stat(ct.spillPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return fi.Size()
+}
+
+func TestTraceRoundTrip(t *testing.T) {
+	insts := sampleTrace(t)
+	back := chunkedDrain(t, spillOf(t, insts).Cursor())
 	if len(back) != len(insts) {
-		t.Fatalf("%d back, want %d (header backpatch)", len(back), len(insts))
+		t.Fatalf("round trip lost instructions: %d vs %d", len(back), len(insts))
 	}
 	for i := range insts {
 		if back[i] != insts[i] {
-			t.Fatalf("inst %d differs", i)
+			t.Fatalf("instruction %d differs: %v vs %v", i, back[i], insts[i])
 		}
 	}
 }
 
-// TestUnterminatedFileDetected: a FileWriter that never Closed (the
-// process died mid-capture) must not read back as a valid empty trace.
-func TestUnterminatedFileDetected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dead.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+func TestTraceRoundTripEmpty(t *testing.T) {
+	ct := spillOf(t, nil)
+	if ct.Len() != 0 || spillBytes(t, ct) != 0 {
+		t.Fatalf("empty spill: Len %d, %d bytes", ct.Len(), spillBytes(t, ct))
 	}
-	w, err := NewFileWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough records to push the placeholder header through the 1 MiB
-	// buffer onto disk; no w.Close(), simulating a killed writer.
-	for _, in := range randomInsts(80_000, 1) {
-		w.Emit(in)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrace(bytes.NewReader(data)); !errors.Is(err, ErrUnterminated) {
-		t.Errorf("got %v, want ErrUnterminated", err)
+	if back := chunkedDrain(t, ct.Cursor()); len(back) != 0 {
+		t.Errorf("empty trace read back %d instructions", len(back))
 	}
 }
 
-// TestFileSourceMemoryIndependentOfLength is the acceptance check that
-// streaming a trace file costs the same allocations at any length:
-// the per-run allocation count must not grow with the trace.
-func TestFileSourceMemoryIndependentOfLength(t *testing.T) {
-	dir := t.TempDir()
-	mkFile := func(n int) string {
-		path := filepath.Join(dir, fmt.Sprintf("t%d.trc", n))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+// TestTraceSizeOnDisk: the spill file is exactly n 16-byte records
+// once sealed, with no header and no padding at chunk boundaries.
+func TestTraceSizeOnDisk(t *testing.T) {
+	for _, n := range []int{1, 600, DefaultChunkSize, DefaultChunkSize + 1} {
+		ct := spillOf(t, randomInsts(n, int64(n)))
+		if got, want := spillBytes(t, ct), int64(n)*recordSize; got != want {
+			t.Errorf("n=%d: spill is %d bytes, want %d (16-byte records)", n, got, want)
 		}
-		if err := WriteTrace(f, randomInsts(n, 42)); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
 	}
-	consume := func(path string) uint64 {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		src, err := NewFileSource(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+}
+
+// TestSpillCursorMemoryIndependentOfLength: a cursor over a spilled
+// trace pages through one reused chunk buffer, so draining it costs
+// the same allocations at any trace length.
+func TestSpillCursorMemoryIndependentOfLength(t *testing.T) {
+	drain := func(ct *ChunkedTrace) uint64 {
+		cu := ct.Cursor()
 		var n uint64
 		for {
-			if _, ok := src.Next(); !ok {
+			if _, ok := cu.Next(); !ok {
 				break
 			}
 			n++
 		}
-		if err := src.Err(); err != nil {
+		if err := cu.Err(); err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
-	small, big := mkFile(2_000), mkFile(200_000)
-	allocsSmall := testing.AllocsPerRun(3, func() { consume(small) })
-	allocsBig := testing.AllocsPerRun(3, func() { consume(big) })
-	if n := consume(big); n != 200_000 {
-		t.Fatalf("big file streamed %d records", n)
+	small, big := spillOf(t, randomInsts(2_000, 42)), spillOf(t, randomInsts(200_000, 42))
+	allocsSmall := testing.AllocsPerRun(3, func() { drain(small) })
+	allocsBig := testing.AllocsPerRun(3, func() { drain(big) })
+	if n := drain(big); n != 200_000 {
+		t.Fatalf("big spill drained %d records", n)
 	}
 	if allocsBig > allocsSmall+4 {
 		t.Errorf("allocations grow with trace length: %g (200k) vs %g (2k)", allocsBig, allocsSmall)
 	}
 	if allocsBig > 32 {
-		t.Errorf("streaming a trace took %g allocations, want a fixed handful", allocsBig)
+		t.Errorf("draining a spill took %g allocations, want a fixed handful", allocsBig)
 	}
 }
 
@@ -260,28 +186,38 @@ func TestChunkedTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceRoundTripProperty: every bit of every record survives the
+// spill, over several seeds and sizes below, at and across chunk
+// boundaries.
+func TestTraceRoundTripProperty(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		n := int(seed)*137 + int(seed%3)*DefaultChunkSize
+		insts := randomInsts(n, seed)
+		back := chunkedDrain(t, spillOf(t, insts).Cursor())
+		if len(back) != n {
+			t.Fatalf("seed %d: %d insts back, want %d", seed, len(back), n)
+		}
+		for i := range insts {
+			if back[i] != insts[i] {
+				t.Fatalf("seed %d inst %d: %v != %v", seed, i, back[i], insts[i])
+			}
+		}
+	}
+}
+
+// TestChunkedSpillRoundTripAndConcurrentCursors: several cursors page
+// the same spill file concurrently, and each sees the identical full
+// stream.
 func TestChunkedSpillRoundTripAndConcurrentCursors(t *testing.T) {
 	n := 2*DefaultChunkSize + 999
 	insts := randomInsts(n, 77)
-	ct, err := NewChunkedSpill(filepath.Join(t.TempDir(), "spill.trc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	for _, in := range insts {
-		ct.Emit(in)
-	}
-	if err := ct.Seal(); err != nil {
-		t.Fatal(err)
-	}
+	ct := spillOf(t, insts)
 	if !ct.Spilled() {
 		t.Fatal("trace should report spilled")
 	}
-	// Several cursors iterate the same spill file concurrently; each
-	// must see the identical full stream.
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
-	for w := 0; w < 4; w++ {
+	for w := range errs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -293,7 +229,7 @@ func TestChunkedSpillRoundTripAndConcurrentCursors(t *testing.T) {
 					break
 				}
 				if in != insts[i] {
-					errs[w] = fmt.Errorf("cursor %d: inst %d differs", w, i)
+					errs[w] = fmt.Errorf("cursor %d: inst %d: %v != %v", w, i, in, insts[i])
 					return
 				}
 				i++
